@@ -70,8 +70,8 @@ struct MiniClusterOptions {
   std::string slow_log_path;
   /// Per-node runtime page-cache byte budget (the paper's aggregate-memory
   /// claim: N nodes hold N budgets' worth of the hot set). Cache-resident
-  /// documents ship over the zero-copy writev path; 0 disables the cache
-  /// (every response takes the copy path).
+  /// documents go out without a body copy; 0 disables the cache (every
+  /// GET pays the modelled disk read).
   std::uint64_t cache_bytes_per_node = 8ull * 1024 * 1024;
 };
 

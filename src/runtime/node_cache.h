@@ -80,7 +80,7 @@ class CacheDirectory {
     return static_cast<int>(caches_.size());
   }
   /// False when built with a zero byte budget: the serve path skips the
-  /// cache entirely (pure copy path) and the broker applies no discount.
+  /// cache entirely (every GET copies) and the broker applies no discount.
   [[nodiscard]] bool enabled() const noexcept { return bytes_per_node_ > 0; }
   [[nodiscard]] std::uint64_t bytes_per_node() const noexcept {
     return bytes_per_node_;

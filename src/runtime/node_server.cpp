@@ -864,11 +864,13 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
 
 bool NodeServer::start_write(Conn& c, http::Response response,
                              std::shared_ptr<const std::string> body) {
-  // Zero-copy hot path: a cache-resident body is gather-written straight
-  // from the DocStore's shared buffer (header block + body, one sendmsg at
-  // a time) — it is never copied into the response. Everything else ships
-  // as the single serialized string it always was.
-  c.head = body != nullptr ? response.serialize_head() : response.serialize();
+  // One write path: the head, then the body slot, gathered one sendmsg at
+  // a time. An inline body (302, error, CGI) moves into the slot; nothing
+  // is concatenated. No re-mark: serialization is charged to write.
+  if (body == nullptr && !response.body.empty()) {
+    body = std::make_shared<const std::string>(std::move(response.body));
+  }
+  c.head = response.serialize_head();
   c.body = std::move(body);
   c.written = 0;
   c.response_started = false;
@@ -877,7 +879,6 @@ bool NodeServer::start_write(Conn& c, http::Response response,
   c.has_write_deadline = false;
   c.state = Conn::State::kWriting;
   c.wait_phase = obs::Phase::kWrite;
-  c.phase_mark = std::chrono::steady_clock::now();
   c.t_send_start = tracing() ? config_.tracer->now_seconds() : 0.0;
   if (c.stream.faults_state() == nullptr) {
     c.write_deadline = deadline_after(config_.io_timeout);
@@ -927,7 +928,7 @@ bool NodeServer::drive_write(Conn& c) {
       if (want == 0) want = 1;
       c.throttled_min_write = false;
     }
-    // Gather the remainder: serialized head first, then the shared body.
+    // Gather the remainder: serialized head first, then the body.
     std::string_view segments[2];
     std::size_t count = 0;
     std::size_t budget = want;
@@ -1124,10 +1125,11 @@ NodeServer::ProcessOutcome NodeServer::process_request(
       request.headers.has("X-Sweb-Redirected") ||
       canonical->query.find("sweb-hop=1") != std::string::npos;
   const bool is_head = request.method == http::Method::kHead;
-  // Conditional-GET freshness is decided up front because it changes what
-  // this request costs, not just what it answers.
+  // Conditional freshness is decided up front because it changes what
+  // this request costs, not just what it answers. RFC 9110 §13.1.3 applies
+  // If-Modified-Since to HEAD as much as to GET.
   bool not_modified = false;
-  if (cgi == nullptr && !is_head) {
+  if (cgi == nullptr) {
     if (const auto ims = request.headers.get("If-Modified-Since")) {
       const auto since = http::parse_http_date(*ims);
       not_modified = since.has_value() && doc->last_modified <= *since;
@@ -1137,7 +1139,7 @@ NodeServer::ProcessOutcome NodeServer::process_request(
   // Past healthy, the node keeps doing only cheap work: HEAD and 304
   // answers move headers, cache-resident documents go out zero-copy from
   // RAM. CGI — the CPU-bound class — and documents that would need the
-  // copy path are rejected with 503 + Retry-After; the LoadBoard overload
+  // modelled disk read get 503 + Retry-After; the LoadBoard overload
   // flag published alongside the state makes every peer's broker route
   // new 302 assignments around this node while it degrades.
   if (overload_.state() != OverloadState::kHealthy && !is_head &&
@@ -1280,8 +1282,7 @@ NodeServer::ProcessOutcome NodeServer::process_request(
             : 0.0;
     config_.audit->record_outcome(trace_id, observation);
   };
-  http::Response ok;
-  // Conditional GET: an If-Modified-Since at or after the document's
+  // Conditional GET/HEAD: an If-Modified-Since at or after the document's
   // mtime earns a body-less 304 (NCSA httpd supported this in 1994).
   if (not_modified) {
     http::Response fresh;
@@ -1299,22 +1300,18 @@ NodeServer::ProcessOutcome NodeServer::process_request(
       config_.caches != nullptr && config_.caches->enabled()
           ? &config_.caches->node(self)
           : nullptr;
-  if (is_head) {
-    ok = http::make_ok(std::string(), mime);
-    ok.headers.set("Content-Length", std::to_string(doc->size()));
-  } else if (cache != nullptr && cache->lookup(canonical->path)) {
-    // Hot path: the document is resident, so the response carries no
-    // body of its own — the writer gather-writes the preserialized
-    // header block and the DocStore's shared buffer (zero copies).
-    ok.status = http::Status::kOk;
-    ok.headers.add("Content-Type", mime);
-    ok.headers.add("Content-Length", std::to_string(doc->size()));
+  // GET and HEAD share one head; only a GET carries a body.
+  http::Response ok;  // 200
+  ok.headers.add("Content-Type", mime);
+  ok.headers.add("Content-Length", std::to_string(doc->size()));
+  if (!is_head && cache != nullptr && cache->lookup(canonical->path)) {
+    // Resident: the body aliases the DocStore's shared buffer (no copy).
     out.action.body = doc->content;
-  } else {
-    // Cold/evicted: the per-request copy stands in for the disk read
-    // (this is the doc_read cost a cache hit skips), then the document
-    // is admitted so the next request hits.
-    ok = http::make_ok(std::string(*doc->content), mime);
+  } else if (!is_head) {
+    // Cold/evicted: a private copy stands in for the disk read (this is
+    // the doc_read cost a cache hit skips), then the document is admitted
+    // so the next request hits.
+    out.action.body = std::make_shared<const std::string>(*doc->content);
     if (cache != nullptr) cache->insert(canonical->path, doc->size());
   }
   ok.headers.add("Last-Modified",
@@ -1330,7 +1327,7 @@ NodeServer::ProcessOutcome NodeServer::process_request(
   }
   board_.note_served(self);
   record_outcome();
-  return finish(ok);
+  return finish(std::move(ok));
 }
 
 void NodeServer::record_phases(const obs::PhaseClock& clock,

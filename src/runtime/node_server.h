@@ -139,7 +139,7 @@ class NodeServer {
     FaultPlan chaos{};
     std::uint64_t chaos_seed = ChaosDirector::kDefaultSeed;
     /// Cluster-shared residency caches (typically the MiniCluster's; may
-    /// be null — every static response then takes the copy path and the
+    /// be null — every static GET then pays the modelled copy and the
     /// broker applies no cache discount).
     CacheDirectory* caches = nullptr;
     /// Optional telemetry sinks (typically the MiniCluster's; may be null).
@@ -320,8 +320,8 @@ class NodeServer {
     bool inflight_marked = false;
 
     // Response write state.
-    std::string head;  // serialized head (zero-copy) or whole response
-    std::shared_ptr<const std::string> body;  // zero-copy shared body
+    std::string head;  // serialized status line + headers
+    std::shared_ptr<const std::string> body;  // null when bodiless
     std::size_t written = 0;
     int status = 0;
     std::string method;
@@ -338,12 +338,12 @@ class NodeServer {
   };
 
   /// What process_request decided: an inline outcome carries the finished
-  /// response (and possibly a zero-copy body); a CGI outcome carries what
+  /// response (and possibly a document body); a CGI outcome carries what
   /// the loop needs to offload the handler and finish on handback.
   struct ServeAction {
     http::Response response;
-    /// When set, the writer gather-writes response.serialize_head() +
-    /// *body (the response's own body is empty) — the zero-copy hot path.
+    /// A document's body, gathered after response.serialize_head(): the
+    /// DocStore's shared buffer when resident, a private copy when cold.
     std::shared_ptr<const std::string> body;
   };
   struct ProcessOutcome {
@@ -376,6 +376,8 @@ class NodeServer {
   /// destroyed.
   [[nodiscard]] bool drive_read(Conn& conn);
   [[nodiscard]] bool finish_parse(Conn& conn, http::ParseResult state);
+  /// Sends response's head, then `body` — or the response's inline body,
+  /// moved into that slot. Time since the caller's phase_mark is write.
   [[nodiscard]] bool start_write(Conn& conn, http::Response response,
                                  std::shared_ptr<const std::string> body);
   [[nodiscard]] bool drive_write(Conn& conn);

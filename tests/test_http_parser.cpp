@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 namespace sweb::http {
@@ -292,6 +293,14 @@ struct RoundTripCase {
   int headers;
   int body;
 };
+
+// CTest names each case after its printed value. Print the fields: gtest's
+// default byte dump would include the address of `target`, which changes
+// per run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << to_string(c.method) << ' ' << c.target << ", " << c.headers
+      << " headers, " << c.body << " body bytes";
+}
 
 class RequestRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -9,6 +9,7 @@
 //   * redirected <= 1 reassignment per request.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -31,6 +32,10 @@ struct Scenario {
   double rps;
   std::uint64_t file_size;
 };
+
+// CTest names each case after its printed value. Print the scenario name:
+// gtest's default byte dump would include pointers, which change per run.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
 
 class SystemInvariants : public ::testing::TestWithParam<Scenario> {};
 
@@ -124,10 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{"fl_churn_forward", "file-locality", true, true, true, 12,
                  64 * 1024},
         Scenario{"overload_single_link", "sweb", true, false, false, 40,
-                 256 * 1024}),
-    [](const ::testing::TestParamInfo<Scenario>& info) {
-      return std::string(info.param.name);
-    });
+                 256 * 1024}));
 
 }  // namespace
 }  // namespace sweb

@@ -47,6 +47,14 @@ fs::Docbase small_docbase(int nodes) {
   return *doc;
 }
 
+/// Waits (up to 2 s) until `log` holds `n` records. A client returns once
+/// it has Content-Length bytes; the server records after its last send.
+void wait_for_records(const obs::SlowLog& log, std::uint64_t n) {
+  for (int i = 0; i < 200 && log.total_recorded() < n; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+}
+
 TEST(PhaseLifecycle, StatusReportsAllEightPhasesWithQuantiles) {
   MiniCluster cluster(2, small_docbase(2));
   cluster.start();
@@ -116,6 +124,7 @@ TEST(PhaseLifecycle, SlowRecordPhaseVectorReconcilesWithTotal) {
   // A fast static request stays under budget and leaves no record.
   ASSERT_TRUE(fetch(cluster.next_base_url() + "/docs/file0.html")
                   .has_value());
+  wait_for_records(cluster.slow_log(), 1);
 
   const std::vector<obs::SlowRequestRecord> records =
       cluster.slow_log().records();
@@ -136,6 +145,32 @@ TEST(PhaseLifecycle, SlowRecordPhaseVectorReconcilesWithTotal) {
   // The acceptance bar: the decomposition explains the total within ±5%.
   EXPECT_NEAR(slow.phase_sum(), slow.total_s, 0.05 * slow.total_s)
       << slow_record_json(slow);
+
+  // Second input: a cold 4 MiB GET with the cache off. Its head
+  // serialization and the gather of the copied body must land in write,
+  // not in the gap between phases.
+  MiniClusterOptions cold_options;
+  cold_options.slow_budget = 1ms;
+  cold_options.cache_bytes_per_node = 0;
+  MiniCluster cold(1,
+                   fs::make_uniform(1, 4u << 20, 1,
+                                    fs::Placement::kRoundRobin, nullptr,
+                                    "/big"),
+                   cold_options);
+  cold.start();
+  const auto big = fetch(cold.next_base_url() + "/big/file0.tiff");
+  ASSERT_TRUE(big.has_value());
+  ASSERT_EQ(big->response.body.size(), 4u << 20);
+  wait_for_records(cold.slow_log(), 1);
+  const std::vector<obs::SlowRequestRecord> cold_records =
+      cold.slow_log().records();
+  ASSERT_EQ(cold_records.size(), 1u);
+  const obs::SlowRequestRecord& cold_slow = cold_records.front();
+  EXPECT_EQ(cold_slow.path, "/big/file0.tiff");
+  EXPECT_GE(cold_slow.phase_s[doc], 0.0);
+  EXPECT_NEAR(cold_slow.phase_sum(), cold_slow.total_s,
+              0.05 * cold_slow.total_s)
+      << slow_record_json(cold_slow);
 }
 
 TEST(PhaseLifecycle, ChaosFaultedRecordSharesRidWithTraceSpans) {
@@ -147,6 +182,7 @@ TEST(PhaseLifecycle, ChaosFaultedRecordSharesRidWithTraceSpans) {
   cluster.start();
   ASSERT_TRUE(fetch(cluster.next_base_url() + "/docs/file0.html")
                   .has_value());
+  wait_for_records(cluster.slow_log(), 1);
 
   const std::vector<obs::SlowRequestRecord> records =
       cluster.slow_log().records();
@@ -191,6 +227,7 @@ TEST(PhaseLifecycle, SlowLogJsonlSinkRoundTrips) {
       ASSERT_TRUE(
           fetch(cluster.next_base_url() + "/cgi/slow.cgi").has_value());
     }
+    wait_for_records(cluster.slow_log(), 3);
     EXPECT_EQ(cluster.slow_log().total_recorded(), 3u);
   }
   // Every line is one valid JSON object carrying the forensics fields.

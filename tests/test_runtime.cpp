@@ -215,6 +215,40 @@ TEST(Runtime, StaleIfModifiedSinceGetsFullBody) {
   EXPECT_EQ(parser.message().body.size(), 4096u);
 }
 
+TEST(Runtime, FreshIfModifiedSinceHeadGets304) {
+  // RFC 9110 §13.1.3: If-Modified-Since applies to HEAD as well as GET.
+  MiniCluster cluster(1, small_docbase(1));
+  cluster.start();
+  auto stream = TcpStream::connect(
+      SocketAddress::loopback(cluster.port(0)), std::chrono::seconds(2));
+  ASSERT_TRUE(stream.has_value());
+  http::Request request;
+  request.method = http::Method::kHead;
+  request.target = "/docs/file0.html";
+  // Long after the synthesized 1996 modification stamps.
+  request.headers.add("If-Modified-Since",
+                      "Fri, 01 Jan 2010 00:00:00 GMT");
+  ASSERT_TRUE(stream->write_all(request.serialize(), std::chrono::seconds(2)));
+  stream->shutdown_write();
+  http::ResponseParser parser;
+  parser.expect_head_response(true);
+  http::ParseResult state = http::ParseResult::kNeedMore;
+  while (state == http::ParseResult::kNeedMore) {
+    const auto chunk = stream->read_some(16384, std::chrono::seconds(2));
+    ASSERT_TRUE(chunk.ok);
+    if (chunk.eof) {
+      state = parser.finish_eof();
+      break;
+    }
+    std::size_t consumed = 0;
+    state = parser.feed(chunk.data, consumed);
+  }
+  ASSERT_EQ(state, http::ParseResult::kComplete);
+  EXPECT_EQ(http::code(parser.message().status), 304);
+  EXPECT_TRUE(parser.message().body.empty());
+  EXPECT_EQ(cluster.board().snapshot(0).bytes_in_flight, 0u);
+}
+
 TEST(Runtime, RedirectWithoutLocationReturnsNullopt) {
   // A 302 missing its Location header is a malformed redirect; the client
   // must fail the fetch rather than dereference a header that is not there

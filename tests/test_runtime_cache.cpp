@@ -1,10 +1,12 @@
 // The zero-copy hot path and its runtime page cache: residency bookkeeping,
 // writev serving byte-identical to the copy path (torn writes included),
-// cache-aware redirect placement, and the HEAD/304 load-accounting fixes.
+// the cold copy charged to doc_read alone, cache-aware redirect placement,
+// and the HEAD/304 load-accounting fixes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "fs/docbase.h"
 #include "http/parser.h"
 #include "obs/json.h"
+#include "obs/registry.h"
 #include "runtime/client.h"
 #include "runtime/load_board.h"
 #include "runtime/mini_cluster.h"
@@ -142,25 +145,122 @@ TEST(RuntimeCache, HotPathByteIdenticalToCopyPath) {
 }
 
 TEST(RuntimeCache, HotPathSurvivesTornWrites) {
-  // Chaos tears every send into tiny segments; the gather path must clamp
-  // its iovec budget exactly like the single-buffer path and still deliver
-  // the full document, twice (copy path then writev path).
-  MiniClusterOptions options;
-  options.chaos_node = 0;
-  options.chaos.torn_write_max_bytes = 7;
-  MiniCluster cluster(1, small_docbase(1), options);
-  cluster.start();
-  const std::string path = "/docs/file3.html";
-  const std::string url = cluster.next_base_url() + path;
-  const DocStore::Entry* entry = cluster.docs().find(path);
-  ASSERT_NE(entry, nullptr);
-  for (int round = 0; round < 2; ++round) {
-    const auto result = fetch(url);
-    ASSERT_TRUE(result.has_value()) << "round " << round;
-    EXPECT_EQ(http::code(result->response.status), 200);
-    EXPECT_EQ(result->response.body, *entry->content) << "round " << round;
+  // Chaos tears every send into tiny segments; the gather write must clamp
+  // its iovec budget exactly like a single-buffer send and still deliver
+  // the full document, twice. With the cache on that is a cold copy then
+  // a resident alias; with it off, both rounds gather a private copy.
+  for (const std::uint64_t budget :
+       {std::uint64_t{0}, MiniClusterOptions{}.cache_bytes_per_node}) {
+    MiniClusterOptions options;
+    options.chaos_node = 0;
+    options.chaos.torn_write_max_bytes = 7;
+    options.cache_bytes_per_node = budget;
+    MiniCluster cluster(1, small_docbase(1), options);
+    cluster.start();
+    const std::string path = "/docs/file3.html";
+    const std::string url = cluster.next_base_url() + path;
+    const DocStore::Entry* entry = cluster.docs().find(path);
+    ASSERT_NE(entry, nullptr);
+    for (int round = 0; round < 2; ++round) {
+      const auto result = fetch(url);
+      ASSERT_TRUE(result.has_value())
+          << "budget " << budget << " round " << round;
+      EXPECT_EQ(http::code(result->response.status), 200);
+      EXPECT_EQ(result->response.body, *entry->content)
+          << "budget " << budget << " round " << round;
+    }
+    if (budget > 0) {
+      EXPECT_GE(cluster.caches().node(0).hits(), 1u);
+    }
   }
-  EXPECT_GE(cluster.caches().node(0).hits(), 1u);
+}
+
+/// Δsum and Δcount of one node-0 phase histogram between two snapshots.
+struct PhaseDelta {
+  double sum = 0.0;
+  std::uint64_t count = 0;
+};
+
+PhaseDelta phase_delta(const obs::RegistrySnapshot& before,
+                       const obs::RegistrySnapshot& after,
+                       const std::string& phase) {
+  const std::string name = "node.0.phase." + phase;
+  PhaseDelta delta;
+  if (const auto a = after.histograms.find(name);
+      a != after.histograms.end()) {
+    delta.sum = a->second.sum;
+    delta.count = a->second.count;
+  }
+  if (const auto b = before.histograms.find(name);
+      b != before.histograms.end()) {
+    delta.sum -= b->second.sum;
+    delta.count -= b->second.count;
+  }
+  return delta;
+}
+
+/// Fetches `url` `n` times and returns the registry once node 0 has
+/// recorded all of them (the client returns at Content-Length; the server
+/// records after its last send).
+obs::RegistrySnapshot fetch_and_settle(MiniCluster& cluster,
+                                       const std::string& url, int n,
+                                       const obs::RegistrySnapshot& from) {
+  for (int i = 0; i < n; ++i) {
+    const auto result = fetch(url);
+    EXPECT_TRUE(result.has_value() &&
+                http::code(result->response.status) == 200);
+  }
+  auto now = cluster.registry().snapshot();
+  for (int i = 0; i < 200 && phase_delta(from, now, "total").count <
+                                 static_cast<std::uint64_t>(n);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = cluster.registry().snapshot();
+  }
+  return now;
+}
+
+TEST(RuntimeCache, ColdCopyIsChargedToDocReadAndOnlyThere) {
+  // One node (so no redirects) and one 4 MiB document. The modelled disk
+  // read is the only copy a cold response pays, and it is doc_read's.
+  const fs::Docbase big = fs::make_uniform(1, 4u << 20, 1,
+                                           fs::Placement::kRoundRobin,
+                                           nullptr, "/big");
+  const std::string path = "/big/file0.tiff";
+  {
+    // (a) Cache off: every GET is cold. broker_decide holds the decision
+    // and process_request's residual, never a copy of the body.
+    MiniClusterOptions options;
+    options.cache_bytes_per_node = 0;
+    MiniCluster cluster(1, big, options);
+    cluster.start();
+    const auto before = cluster.registry().snapshot();
+    const auto after =
+        fetch_and_settle(cluster, cluster.next_base_url() + path, 8, before);
+    const PhaseDelta decide = phase_delta(before, after, "broker_decide");
+    const PhaseDelta read = phase_delta(before, after, "doc_read");
+    ASSERT_EQ(read.count, 8u);
+    EXPECT_LT(decide.sum, 0.25 * read.sum)
+        << "broker_decide " << decide.sum << " s vs doc_read " << read.sum
+        << " s";
+  }
+  {
+    // (b) Cache on: the cold fetch pays the modelled read, the warm ones
+    // alias the resident buffer. Deleting the copy would erase the gap.
+    MiniCluster cluster(1, big);
+    cluster.start();
+    const std::string url = cluster.next_base_url() + path;
+    const auto start = cluster.registry().snapshot();
+    const auto after_cold = fetch_and_settle(cluster, url, 1, start);
+    const auto after_warm = fetch_and_settle(cluster, url, 5, after_cold);
+    const PhaseDelta cold = phase_delta(start, after_cold, "doc_read");
+    const PhaseDelta warm = phase_delta(after_cold, after_warm, "doc_read");
+    ASSERT_EQ(cold.count, 1u);
+    ASSERT_EQ(warm.count, 5u);
+    EXPECT_EQ(cluster.caches().node(0).hits(), 5u);
+    EXPECT_GT(cold.sum / static_cast<double>(cold.count),
+              5.0 * warm.sum / static_cast<double>(warm.count));
+  }
 }
 
 TEST(RuntimeCache, DiscountRedirectsTowardResidentNode) {
