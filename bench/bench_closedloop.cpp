@@ -48,7 +48,8 @@ double run_runtime_closed_loop(int max_workers, int clients, int per_client) {
       8, 2048, 1, fs::Placement::kRoundRobin, nullptr, "/docs");
   runtime::MiniClusterOptions options;
   options.max_workers = max_workers;
-  options.max_pending = 256;  // don't shed: we are measuring HOL blocking
+  // Don't shed: we are measuring HOL blocking.
+  options.max_connections = max_workers + 256;
   runtime::MiniCluster cluster(1, docbase, options);
   cluster.docs_mutable().register_cgi(
       "/cgi/work.cgi", 0, [](const http::Request&, std::string_view) {

@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
   std::uint64_t pooled_shed = 0;
   {
     runtime::MiniClusterOptions options;
-    options.max_connections = 48;  // max_workers + max_pending, the PR3 cap
+    options.max_connections = 48;  // the old pool bound: 16 workers + 32 queued
     const fs::Docbase docs = fs::make_uniform(
         kDocCount, kDocBytes, 1, fs::Placement::kRoundRobin, nullptr, "/docs");
     runtime::MiniCluster cluster(1, docs, options);

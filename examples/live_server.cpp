@@ -52,12 +52,8 @@ int main(int argc, char** argv) {
       .option("workers", "16",
               "CGI worker threads per node (the reactor's CPU-bound stage; "
               "socket I/O is event-driven and not bounded by this)")
-      .option("queue", "32",
-              "legacy pool depth folded into the derived connection cap "
-              "when --max-connections is 0")
-      .option("max-connections", "0",
-              "concurrent connections per node before 503 load shedding; "
-              "0 derives workers + queue (the old pool admission bound)")
+      .option("max-connections", "48",
+              "concurrent connections per node before 503 load shedding")
       .option("serve-seconds", "60", "how long --serve/--status linger")
       .option("heartbeat", "2000",
               "heartbeat period in ms (the loadd tick; paper uses 2-3 s)")
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   fs::Docbase docs = fs::make_adl(12, nodes, rng);
   runtime::MiniClusterOptions options;
   options.max_workers = static_cast<int>(cli.get_int("workers"));
-  options.max_pending = static_cast<int>(cli.get_int("queue"));
   options.max_connections = static_cast<int>(cli.get_int("max-connections"));
   options.heartbeat_period =
       std::chrono::milliseconds(cli.get_int("heartbeat"));

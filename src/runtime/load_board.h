@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -173,5 +174,24 @@ class LoadBoard {
   obs::Counter* rejoined_counter_ = nullptr;
   obs::Counter* inflation_expired_counter_ = nullptr;
 };
+
+/// One connection_opened charge, closed exactly once: by reset(), on
+/// destruction, or wherever it was moved to. A moved-from charge is empty,
+/// so a charge handed across the CGI handback can never close twice (the
+/// double close `loadboard.underflow` counts).
+struct ChargeCloser {
+  int node = 0;
+  std::uint64_t bytes = 0;
+  void operator()(LoadBoard* board) const {
+    board->connection_closed(node, bytes);
+  }
+};
+using BoardCharge = std::unique_ptr<LoadBoard, ChargeCloser>;
+
+[[nodiscard]] inline BoardCharge open_charge(LoadBoard& board, int node,
+                                             std::uint64_t bytes) {
+  board.connection_opened(node, bytes);
+  return BoardCharge(&board, ChargeCloser{node, bytes});
+}
 
 }  // namespace sweb::runtime

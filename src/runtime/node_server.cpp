@@ -4,13 +4,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <limits>
 #include <optional>
 
 #include "http/message.h"
-#include "http/date.h"
-#include "http/mime.h"
 #include "http/url.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
@@ -73,44 +69,13 @@ constexpr std::chrono::milliseconds kLoopTick{100};
 
 NodeServer::NodeServer(Config config, const DocStore& docs, LoadBoard& board)
     : config_(std::move(config)),
-      docs_(docs),
       board_(board),
+      metrics_(config_.registry != nullptr ? *config_.registry
+                                           : own_registry_,
+               config_.node_id),
       overload_(config_.overload),
+      app_(config_, docs, board, overload_, metrics_),
       listener_(0) {
-  if (config_.registry != nullptr) {
-    const std::string prefix = "node." + std::to_string(config_.node_id);
-    requests_counter_ = &config_.registry->counter(prefix + ".requests");
-    redirects_counter_ = &config_.registry->counter(prefix + ".redirects");
-    errors_counter_ = &config_.registry->counter(prefix + ".errors");
-    shed_counter_ = &config_.registry->counter(prefix + ".shed");
-    err400_counter_ = &config_.registry->counter(prefix + ".err.400");
-    err404_counter_ = &config_.registry->counter(prefix + ".err.404");
-    err408_counter_ = &config_.registry->counter(prefix + ".err.408");
-    err503_counter_ = &config_.registry->counter(prefix + ".err.503");
-    inflight_gauge_ = &config_.registry->gauge(prefix + ".inflight");
-    // 0 = healthy, 1 = brownout, 2 = shedding (OverloadState's values).
-    overload_gauge_ = &config_.registry->gauge(prefix + ".overload_state");
-    shed_cgi_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_cgi");
-    shed_uncached_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_uncached");
-    shed_accept_counter_ =
-        &config_.registry->counter(prefix + ".overload.shed_accept");
-    workers_busy_gauge_ =
-        &config_.registry->gauge(prefix + ".workers_busy");
-    queue_depth_gauge_ = &config_.registry->gauge(prefix + ".queue_depth");
-    // The response histogram and every per-phase histogram share the
-    // log-bucket ladder so cross-node merges stay legal (identical bounds)
-    // and one bucket vocabulary covers 10 µs CGI bursts and 60 s stalls.
-    response_histogram_ = &config_.registry->histogram(
-        "http.response_seconds", obs::log_latency_bounds());
-    for (const obs::Phase phase : obs::all_phases()) {
-      phase_hist_[static_cast<std::size_t>(phase)] =
-          &config_.registry->histogram(
-              prefix + ".phase." + obs::phase_name(phase),
-              obs::log_latency_bounds());
-    }
-  }
   if (config_.chaos.active()) {
     chaos_.configure(config_.chaos, config_.chaos_seed);
   }
@@ -177,7 +142,6 @@ void NodeServer::stop() {
     board_.set_overloaded(config_.node_id, false);
   }
   crashed_ = false;
-  hung_ = false;
 }
 
 void NodeServer::crash() {
@@ -191,14 +155,11 @@ void NodeServer::crash() {
   crashed_ = true;
 }
 
-void NodeServer::hang() {
-  stop_heartbeat();
-  hung_ = true;
-}
+void NodeServer::hang() { stop_heartbeat(); }
 
 void NodeServer::recover() {
   if (crashed_) {
-    // Same port: every peer captured it in peer_ports_ at cluster build.
+    // Same port: every peer captured it in its peer ports at cluster build.
     listener_ = TcpListener(listener_.port());
     // The rebind built a fresh listener with no chaos attachment — a node
     // that recovered onto a still-degraded link must stay degraded.
@@ -209,7 +170,6 @@ void NodeServer::recover() {
   }
   if (!heartbeat_thread_.joinable()) start_heartbeat();
   crashed_ = false;
-  hung_ = false;
 }
 
 void NodeServer::heartbeat_loop(const std::stop_token& token) {
@@ -228,40 +188,9 @@ void NodeServer::heartbeat_loop(const std::stop_token& token) {
   util::set_thread_log_context({});
 }
 
-int NodeServer::connection_cap() const noexcept {
-  if (config_.max_connections > 0) return config_.max_connections;
-  // Back-compat default: the old bounded pool admitted max_workers serving
-  // plus max_pending queued connections.
-  return std::max(1, config_.max_workers) + std::max(1, config_.max_pending);
-}
-
-int NodeServer::workers_busy() const noexcept {
-  return std::min(active_conns_.load(std::memory_order_relaxed),
-                  std::max(1, config_.max_workers));
-}
-
-std::size_t NodeServer::queue_depth() const noexcept {
-  const int beyond = active_conns_.load(std::memory_order_relaxed) -
-                     std::max(1, config_.max_workers);
-  return static_cast<std::size_t>(
-      std::clamp(beyond, 0, std::max(1, config_.max_pending)));
-}
-
 std::chrono::milliseconds NodeServer::read_budget() const noexcept {
   return config_.header_timeout > 0ms ? config_.header_timeout
                                       : config_.io_timeout;
-}
-
-void NodeServer::trace_span(const char* name, std::uint64_t trace_id,
-                            double ts_s, double dur_s) const {
-  obs::TraceSpan span;
-  span.name = name;
-  span.category = "phase";
-  span.ts_s = ts_s;
-  span.dur_s = dur_s;
-  span.pid = config_.node_id;
-  span.tid = static_cast<std::int64_t>(trace_id);
-  config_.tracer->add_span(std::move(span));
 }
 
 // --- The reactor loop ------------------------------------------------------
@@ -344,8 +273,7 @@ void NodeServer::accept_ready() {
     auto stream = listener_.accept_nb();
     if (!stream) return;
     if (shedding) {
-      shed_accept_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_accept_counter_ != nullptr) shed_accept_counter_->inc();
+      metrics_.shed_accept.inc();
       shed(std::move(*stream));
       continue;
     }
@@ -362,12 +290,10 @@ void NodeServer::admit(TcpStream stream) {
   Conn& c = *conn;
   c.stream = std::move(stream);
   c.id = next_conn_id_++;
-  c.conn_faulted = c.stream.faulted();
   c.stream.set_nonblocking(true);
-  c.parser = std::make_unique<http::RequestParser>();
   const auto now = std::chrono::steady_clock::now();
   c.accepted_at = now;
-  c.phase_mark = now;
+  c.ex.phase_mark = now;
   c.read_deadline = deadline_after(read_budget());
   if (!epoller_->add(c.stream.fd(),
                      EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET, c.id)) {
@@ -376,41 +302,27 @@ void NodeServer::admit(TcpStream stream) {
   conns_.emplace(c.id, std::move(conn));
   active_conns_.store(static_cast<int>(conns_.size()),
                       std::memory_order_relaxed);
-  update_pool_gauges();
   arm_conn_timer(c);
 }
 
-int NodeServer::retry_after_now() const {
-  const double hint_s =
-      std::chrono::duration<double>(config_.retry_after_hint).count();
-  if (overload_.enabled()) {
-    // Adaptive: the controller's estimated drain time (in-flight work over
-    // the recent completion rate), so a deep backlog asks the herd to stay
-    // away longer than a graze past the cap does.
-    return overload_.retry_after_seconds(hint_s);
-  }
-  // Whole seconds on the wire (HTTP/1.0 delta-seconds), rounded up so a
-  // sub-second hint never collapses to "retry immediately", and clamped so
-  // a wild hint cannot park clients for minutes.
-  const double whole = std::ceil(std::max(hint_s, 0.0));
-  return static_cast<int>(std::clamp(whole, 1.0, 120.0));
-}
-
 void NodeServer::shed(TcpStream stream) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  if (shed_counter_ != nullptr) shed_counter_->inc();
+  metrics_.shed.inc();
+  metrics_.err503.inc();
   // This connection never reaches connection_opened, so the Δ-inflation a
   // redirect placed on this (overloaded) node must be consumed here.
   board_.note_shed(config_.node_id);
-  if (err503_counter_ != nullptr) err503_counter_->inc();
   http::Response busy = http::make_error(http::Status::kServiceUnavailable,
                                          "connection limit reached");
   busy.headers.add("Server", config_.server_name);
   busy.headers.set("Connection", "close");
-  busy.headers.set("Retry-After", std::to_string(retry_after_now()));
-  // Written synchronously from the loop: a fresh connection's send buffer
-  // is empty, so this cannot block for long.
-  (void)stream.write_all(busy.serialize(), config_.io_timeout);
+  busy.headers.set("Retry-After", std::to_string(app_.retry_after_now()));
+  // One best-effort nonblocking send from the loop: a fresh connection's
+  // send buffer is empty, so the whole reply fits. The stream's chaos
+  // faults are deliberately bypassed — a faulted link must never sleep the
+  // reactor once per shed connection.
+  const std::string wire = busy.serialize();
+  const std::string_view segment = wire;
+  (void)stream.write_some_v_nb(&segment, 1);
   stream.shutdown_write();
 }
 
@@ -421,66 +333,32 @@ void NodeServer::evaluate_overload() {
   if (state == published_overload_) return;
   published_overload_ = state;
   board_.set_overloaded(config_.node_id, state != OverloadState::kHealthy);
-  if (overload_gauge_ != nullptr) {
-    overload_gauge_->set(static_cast<int>(state));
-  }
+  metrics_.overload_state.set(static_cast<int>(state));
 }
 
 void NodeServer::force_overload(OverloadState state) {
   overload_.force_state(state, board_.now_seconds());
   board_.set_overloaded(config_.node_id, state != OverloadState::kHealthy);
-  if (overload_gauge_ != nullptr) {
-    overload_gauge_->set(static_cast<int>(state));
-  }
-}
-
-http::Response NodeServer::brownout_response(const char* what) const {
-  http::Response busy =
-      http::make_error(http::Status::kServiceUnavailable, what);
-  busy.headers.set("Retry-After", std::to_string(retry_after_now()));
-  return busy;
+  metrics_.overload_state.set(static_cast<int>(state));
 }
 
 void NodeServer::destroy_conn(std::uint64_t id) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Conn& c = *it->second;
-  if (c.charge_open) {
-    board_.connection_closed(config_.node_id, c.board_charge);
-    c.charge_open = false;
-  }
-  if (c.inflight_marked && inflight_gauge_ != nullptr) {
-    inflight_gauge_->add(-1);
-  }
+  if (c.ex.inflight_marked) metrics_.inflight.add(-1);
   if (epoller_ != nullptr) epoller_->remove(c.stream.fd());
-  conns_.erase(it);
+  conns_.erase(it);  // an open CGI board charge closes with the connection
   active_conns_.store(static_cast<int>(conns_.size()),
                       std::memory_order_relaxed);
-  update_pool_gauges();
 }
 
 void NodeServer::clear_conns() {
   for (auto& [id, conn] : conns_) {
-    if (conn->charge_open) {
-      board_.connection_closed(config_.node_id, conn->board_charge);
-      conn->charge_open = false;
-    }
-    if (conn->inflight_marked && inflight_gauge_ != nullptr) {
-      inflight_gauge_->add(-1);
-    }
+    if (conn->ex.inflight_marked) metrics_.inflight.add(-1);
   }
   conns_.clear();
   active_conns_.store(0, std::memory_order_relaxed);
-  update_pool_gauges();
-}
-
-void NodeServer::update_pool_gauges() {
-  if (workers_busy_gauge_ != nullptr) {
-    workers_busy_gauge_->set(workers_busy());
-  }
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->set(static_cast<std::int64_t>(queue_depth()));
-  }
 }
 
 void NodeServer::attend(Conn& c) {
@@ -489,43 +367,42 @@ void NodeServer::attend(Conn& c) {
     // The accept→first-readiness gap is the reactor's queue_wait: time a
     // ready connection spent waiting for the loop's attention.
     c.first_attention = false;
-    c.queue_wait_s =
+    c.ex.queue_wait_s =
         std::chrono::duration<double>(now - c.accepted_at).count();
-    c.clock.add(obs::Phase::kQueueWait, c.queue_wait_s);
+    c.ex.clock.add(obs::Phase::kQueueWait, c.ex.queue_wait_s);
     // The same measurement feeds the overload controller: queue_wait
     // growing is the earliest sign the loop is falling behind arrivals.
-    overload_.record_queue_delay(board_.now_seconds(), c.queue_wait_s);
-    c.request_start = now;
-    c.phase_mark = now;
-    c.wait_phase = obs::Phase::kHeaderRead;
-    c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
+    overload_.record_queue_delay(board_.now_seconds(), c.ex.queue_wait_s);
+    c.ex.request_start = now;
+    c.ex.phase_mark = now;
+    c.ex.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
     return;
   }
-  if (c.idle_wait) {
-    // Keep-alive think time is the client's, not service — the clocks
-    // restart when the next request's first byte arrives.
-    c.phase_mark = now;
-    return;
+  // Keep-alive think time is the client's, not service — the clocks
+  // restart when the next request's first byte arrives (begin_request).
+  if (!c.idle()) {
+    c.ex.clock.add(c.ex.wait_phase,
+                   std::chrono::duration<double>(now - c.ex.phase_mark)
+                       .count());
   }
-  c.clock.add(c.wait_phase,
-              std::chrono::duration<double>(now - c.phase_mark).count());
-  c.phase_mark = now;
+  c.ex.phase_mark = now;
 }
 
 void NodeServer::lap(Conn& c, obs::Phase phase) {
   const auto now = std::chrono::steady_clock::now();
-  c.clock.add(phase,
-              std::chrono::duration<double>(now - c.phase_mark).count());
-  c.phase_mark = now;
+  c.ex.clock.add(phase,
+                 std::chrono::duration<double>(now - c.ex.phase_mark).count());
+  c.ex.phase_mark = now;
 }
 
-void NodeServer::begin_request_clock(Conn& c) {
-  if (!c.idle_wait) return;
-  const auto now = std::chrono::steady_clock::now();
-  c.request_start = now;
-  c.phase_mark = now;
-  c.idle_wait = false;
-  c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
+void NodeServer::begin_request(Conn& c) {
+  if (c.idle()) {
+    const auto now = std::chrono::steady_clock::now();
+    c.ex.request_start = now;
+    c.ex.phase_mark = now;
+    c.ex.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
+  }
+  c.ex.got_bytes = true;
 }
 
 void NodeServer::start_defer(Conn& c, Conn::State state,
@@ -533,7 +410,7 @@ void NodeServer::start_defer(Conn& c, Conn::State state,
                              obs::Phase wait_phase) {
   c.state = state;
   c.defer_until = std::chrono::steady_clock::now() + delay;
-  c.wait_phase = wait_phase;
+  c.ex.wait_phase = wait_phase;
 }
 
 void NodeServer::arm_conn_timer(Conn& c) {
@@ -600,27 +477,20 @@ bool NodeServer::read_timed_out(Conn& c) {
   // between requests; a connection that ran out its budget mid-request (or
   // never sent its first one) is a slow client: tell it so and take the
   // slot back (the slowloris defense).
-  if (c.served > 0 && !c.got_bytes) {
+  if (c.idle()) {
     destroy_conn(c.id);
     return false;
   }
-  err408_.fetch_add(1, std::memory_order_relaxed);
-  if (err408_counter_ != nullptr) err408_counter_->inc();
-  if (errors_counter_ != nullptr) errors_counter_->inc();
+  metrics_.err408.inc();
+  metrics_.errors.inc();
   http::Response timeout = http::make_error(
       http::Status::kRequestTimeout,
       "request not received within " +
           std::to_string(read_budget().count()) + " ms");
   timeout.headers.add("Server", config_.server_name);
   timeout.headers.set("Connection", "close");
-  c.trace_id = config_.slow_log != nullptr ? next_request_id() : 0;
-  c.keep_alive = false;
-  c.status = 408;
-  c.method.clear();
-  c.path.clear();
-  c.suppress_record = false;
-  c.count_handled_on_success = false;  // a 408 counts even if the write fails
-  c.observe_response_hist = false;
+  c.ex.trace_id = config_.slow_log != nullptr ? next_request_id() : 0;
+  c.ex.status = 408;
   return start_write(c, std::move(timeout), nullptr);
 }
 
@@ -628,10 +498,9 @@ bool NodeServer::drive_read(Conn& c) {
   for (;;) {
     // Pipelined bytes first: a complete next request may already be here.
     if (!c.leftover.empty()) {
-      begin_request_clock(c);
-      c.got_bytes = true;
+      begin_request(c);
       std::size_t consumed = 0;
-      const auto state = c.parser->feed(c.leftover, consumed);
+      const auto state = c.ex.parser.feed(c.leftover, consumed);
       c.leftover.erase(0, consumed);
       lap(c, obs::Phase::kParse);
       if (state != http::ParseResult::kNeedMore) {
@@ -642,9 +511,9 @@ bool NodeServer::drive_read(Conn& c) {
     ConnectionFaults* faults = c.stream.faults_state();
     std::size_t max = kReadChunk;
     if (faults != nullptr) {
-      if (!c.read_gate_passed) {
+      if (!c.ex.read_gate_passed) {
         const auto delay = faults->read_defer();
-        c.read_gate_passed = true;
+        c.ex.read_gate_passed = true;
         if (delay > 0ms) {
           start_defer(c, Conn::State::kDeferredRead, delay,
                       obs::Phase::kHeaderRead);
@@ -652,19 +521,19 @@ bool NodeServer::drive_read(Conn& c) {
         }
       }
       max = faults->clamp_read(max);
-      if (max == 0 && !c.throttled_min_read) {
+      if (max == 0 && !c.ex.throttled_min_read) {
         // A throttle slice below one byte paces instead of spinning: wait
         // one slice, then move at least one byte.
-        c.throttled_min_read = true;
+        c.ex.throttled_min_read = true;
         start_defer(c, Conn::State::kDeferredRead, faults->throttle_slice(),
                     obs::Phase::kHeaderRead);
         return true;
       }
       if (max == 0) max = 1;
-      c.throttled_min_read = false;
+      c.ex.throttled_min_read = false;
     }
     auto r = c.stream.read_nb(max);
-    c.read_gate_passed = false;  // the gated op happened; next op re-asks
+    c.ex.read_gate_passed = false;  // the gated op happened; next op re-asks
     if (!r.ok) {
       destroy_conn(c.id);
       return false;
@@ -679,11 +548,10 @@ bool NodeServer::drive_read(Conn& c) {
       return false;
     }
     if (faults != nullptr) faults->note_read_nb(r.data.size());
-    begin_request_clock(c);
-    c.got_bytes = true;
+    begin_request(c);
     lap(c, obs::Phase::kHeaderRead);
     std::size_t consumed = 0;
-    const auto state = c.parser->feed(r.data, consumed);
+    const auto state = c.ex.parser.feed(r.data, consumed);
     lap(c, obs::Phase::kParse);
     if (state != http::ParseResult::kNeedMore) {
       if (state == http::ParseResult::kComplete) {
@@ -695,73 +563,71 @@ bool NodeServer::drive_read(Conn& c) {
 }
 
 bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
+  Conn::Exchange& ex = c.ex;
   const bool tracing_on = tracing();
   // Resolve the request id only once the request is parsed: a redirected
   // request carries the id its origin node assigned (header or query
   // param), and reusing it is what stitches the two nodes' spans — and
   // the audit's decision/outcome — and the slow log's forensics — into
   // one logical request.
-  c.trace_id = 0;
   if (tracing_on || config_.audit != nullptr ||
       config_.slow_log != nullptr) {
     if (state == http::ParseResult::kComplete) {
-      const auto incoming = incoming_request_id(c.parser->message());
-      c.trace_id = incoming ? *incoming : next_request_id();
+      const auto incoming = incoming_request_id(ex.parser.message());
+      ex.trace_id = incoming ? *incoming : next_request_id();
     } else {
-      c.trace_id = next_request_id();
+      ex.trace_id = next_request_id();
     }
   }
   if (tracing_on) {
-    trace_span("preprocess", c.trace_id, c.t_parse_start,
-               config_.tracer->now_seconds() - c.t_parse_start);
+    trace_phase(*config_.tracer, config_.node_id, "preprocess", ex.trace_id,
+                ex.t_parse_start);
   }
-  if (requests_counter_ != nullptr) requests_counter_->inc();
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->add(1);
-    c.inflight_marked = true;
-  }
+  metrics_.requests.inc();
+  metrics_.inflight.add(1);
+  ex.inflight_marked = true;
 
   if (state == http::ParseResult::kError) {
-    err400_.fetch_add(1, std::memory_order_relaxed);
-    if (err400_counter_ != nullptr) err400_counter_->inc();
-    if (errors_counter_ != nullptr) errors_counter_->inc();
+    metrics_.err400.inc();
+    metrics_.errors.inc();
     http::Response bad =
-        http::make_error(http::Status::kBadRequest, c.parser->error());
+        http::make_error(http::Status::kBadRequest, ex.parser.error());
     bad.headers.add("Server", config_.server_name);
     bad.headers.add("Connection", "close");
-    c.keep_alive = false;
-    c.status = 400;
-    c.method.clear();
-    c.path.clear();
-    c.suppress_record = false;
-    c.count_handled_on_success = false;
-    c.observe_response_hist = false;
-    c.phase_mark = std::chrono::steady_clock::now();
+    ex.status = 400;
+    ex.phase_mark = std::chrono::steady_clock::now();
     return start_write(c, std::move(bad), nullptr);
   }
 
-  const http::Request& request = c.parser->message();
+  const http::Request& request = ex.parser.message();
   // HTTP/1.0: keep-alive only on explicit request (and not for the
   // headerless 0.9 simple requests).
   const auto connection_header = request.headers.get("Connection");
   const bool client_keep_alive =
       request.version_major >= 1 && connection_header.has_value() &&
       util::iequals(*connection_header, "keep-alive");
-  c.keep_alive = client_keep_alive &&
-                 c.served + 1 < config_.max_requests_per_connection;
-  c.method = std::string(http::to_string(request.method));
-  c.path = request.target;
+  ex.keep_alive = client_keep_alive &&
+                  c.served + 1 < config_.max_requests_per_connection;
+  ex.method = std::string(http::to_string(request.method));
+  ex.path = request.target;
   // Introspection polls (/sweb/status, /sweb/metrics) are excluded from
   // phase recording so a dashboard scraping every 250 ms cannot pollute
   // the latency story.
-  c.suppress_record = request.target.rfind("/sweb/", 0) == 0;
-  c.count_handled_on_success = true;
-  c.observe_response_hist = true;
+  ex.suppress_record = request.target.rfind("/sweb/", 0) == 0;
+  ex.count_handled_on_success = true;
+  ex.observe_response_hist = true;
 
-  const double attributed_before = c.clock.measured_sum();
+  const double attributed_before = ex.clock.measured_sum();
   const auto process_start = std::chrono::steady_clock::now();
-  ProcessOutcome out = process_request(request, c.trace_id, c.clock);
-  // Tile the decomposition: whatever process_request spent outside its
+  std::optional<http::Response> page;
+  if (ex.suppress_record) page = introspect(request);
+  RequestApp::Outcome out;
+  if (page) {
+    out.response = std::move(*page);
+  } else {
+    out = app_.handle(request, ex.trace_id, ex.clock);
+  }
+  // Tile the decomposition: whatever the application spent outside its
   // timed windows (target analysis, hop detection, completion bookkeeping,
   // error paths) lands in broker_decide — the paper's "SWEB analysis"
   // bucket — so the phase vector sums to the total.
@@ -769,23 +635,19 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     process_start)
           .count();
-  const double attributed = c.clock.measured_sum() - attributed_before;
+  const double attributed = ex.clock.measured_sum() - attributed_before;
   if (process_wall > attributed) {
-    c.clock.add(obs::Phase::kBrokerDecide, process_wall - attributed);
+    ex.clock.add(obs::Phase::kBrokerDecide, process_wall - attributed);
   }
-  c.phase_mark = std::chrono::steady_clock::now();
+  ex.phase_mark = std::chrono::steady_clock::now();
 
-  if (out.cgi_pending) {
+  if (out.cgi != nullptr) {
     // Offload the CPU-bound stage; the loop resumes at finish_cgi. The
     // request is copied into the job — the parser (and the connection)
     // could be gone before the handler runs.
     c.state = Conn::State::kCgiWait;
-    c.wait_phase = obs::Phase::kCgiExec;
-    c.is_head_cgi = out.is_head;
-    c.board_charge = out.board_charge;
-    c.charge_open = true;
-    c.service_start_s = out.service_start_s;
-    c.t_data_trace_s = out.t_data_trace_s;
+    ex.wait_phase = obs::Phase::kCgiExec;
+    ex.cgi = std::move(out.pending);
     const auto submitted = std::chrono::steady_clock::now();
     pool_->submit(CgiPool::Job{
         c.id, [this, submitted, cgi = out.cgi, req = request,
@@ -811,11 +673,28 @@ bool NodeServer::finish_parse(Conn& c, http::ParseResult state) {
   // rejected one must get them served — that is the whole brownout
   // bargain. The slot itself is reclaimed by the accept-path shed once the
   // node escalates to kShedding.
-  out.action.response.headers.set("Connection",
-                                  c.keep_alive ? "Keep-Alive" : "close");
-  c.status = static_cast<int>(out.action.response.status);
-  return start_write(c, std::move(out.action.response),
-                     std::move(out.action.body));
+  out.response.headers.set("Connection",
+                           ex.keep_alive ? "Keep-Alive" : "close");
+  ex.status = static_cast<int>(out.response.status);
+  return start_write(c, std::move(out.response), std::move(out.body));
+}
+
+std::optional<http::Response> NodeServer::introspect(
+    const http::Request& request) const {
+  // Every node answers for itself, to the same methods the application
+  // accepts; anything else under /sweb/ falls through to it (404/501).
+  if (request.method != http::Method::kGet &&
+      request.method != http::Method::kHead &&
+      request.method != http::Method::kPost) {
+    return std::nullopt;
+  }
+  const auto canonical = http::canonicalize_target(request.target);
+  if (!canonical) return std::nullopt;
+  std::optional<http::Response> page;
+  if (canonical->path == "/sweb/status") page = status_response();
+  if (canonical->path == "/sweb/metrics") page = metrics_response();
+  if (page) page->headers.add("Server", config_.server_name);
+  return page;
 }
 
 void NodeServer::finish_cgi(CgiPool::Result result) {
@@ -825,40 +704,9 @@ void NodeServer::finish_cgi(CgiPool::Result result) {
   if (c.state != Conn::State::kCgiWait) return;
   attend(c);  // the async execution span lands in cgi_exec
   http::Response ok = std::move(result.response);
-  if (c.is_head_cgi) {
-    // HEAD gets the headers the GET would have had, body stripped — same
-    // contract as the static-document path.
-    ok.headers.set("Content-Length", std::to_string(ok.body.size()));
-    ok.body.clear();
-  }
-  if (tracing()) {
-    trace_span("data", c.trace_id, c.t_data_trace_s,
-               config_.tracer->now_seconds() - c.t_data_trace_s);
-  }
-  ok.headers.add("X-Sweb-Node", std::to_string(config_.node_id));
-  if (c.trace_id != 0) {
-    ok.headers.set("X-SWEB-Request-Id", std::to_string(c.trace_id));
-  }
-  board_.note_served(config_.node_id);
-  if (config_.audit != nullptr && c.trace_id != 0) {
-    obs::Observation observation;
-    observation.service_start_ts_s = c.service_start_s;
-    observation.completion_ts_s = board_.now_seconds();
-    observation.t_data = c.clock.touched(obs::Phase::kDocRead)
-                             ? c.clock.seconds(obs::Phase::kDocRead)
-                             : 0.0;
-    observation.t_cpu = c.clock.touched(obs::Phase::kCgiExec)
-                            ? c.clock.seconds(obs::Phase::kCgiExec)
-                            : 0.0;
-    config_.audit->record_outcome(c.trace_id, observation);
-  }
-  if (c.charge_open) {
-    board_.connection_closed(config_.node_id, c.board_charge);
-    c.charge_open = false;
-  }
-  ok.headers.add("Server", config_.server_name);
-  ok.headers.set("Connection", c.keep_alive ? "Keep-Alive" : "close");
-  c.status = static_cast<int>(ok.status);
+  app_.finish_cgi(ok, c.ex.cgi, c.ex.trace_id, c.ex.clock);
+  ok.headers.set("Connection", c.ex.keep_alive ? "Keep-Alive" : "close");
+  c.ex.status = static_cast<int>(ok.status);
   if (start_write(c, std::move(ok), nullptr)) arm_conn_timer(c);
 }
 
@@ -866,20 +714,18 @@ bool NodeServer::start_write(Conn& c, http::Response response,
                              std::shared_ptr<const std::string> body) {
   // One write path: the head, then the body slot, gathered one sendmsg at
   // a time. An inline body (302, error, CGI) moves into the slot; nothing
-  // is concatenated. No re-mark: serialization is charged to write.
+  // is concatenated. No re-mark: serialization is charged to write. The
+  // exchange is fresh (one response per request), so its write cursor and
+  // chaos gates start cleared.
   if (body == nullptr && !response.body.empty()) {
     body = std::make_shared<const std::string>(std::move(response.body));
   }
-  c.head = response.serialize_head();
-  c.body = std::move(body);
-  c.written = 0;
-  c.response_started = false;
-  c.write_gate_passed = false;
-  c.throttled_min_write = false;
+  c.ex.head = response.serialize_head();
+  c.ex.body = std::move(body);
   c.has_write_deadline = false;
   c.state = Conn::State::kWriting;
-  c.wait_phase = obs::Phase::kWrite;
-  c.t_send_start = tracing() ? config_.tracer->now_seconds() : 0.0;
+  c.ex.wait_phase = obs::Phase::kWrite;
+  c.ex.t_send_start = tracing() ? config_.tracer->now_seconds() : 0.0;
   if (c.stream.faults_state() == nullptr) {
     c.write_deadline = deadline_after(config_.io_timeout);
     c.has_write_deadline = true;
@@ -890,17 +736,18 @@ bool NodeServer::start_write(Conn& c, http::Response response,
 }
 
 bool NodeServer::drive_write(Conn& c) {
+  Conn::Exchange& ex = c.ex;
   for (;;) {
     const std::size_t total =
-        c.head.size() + (c.body != nullptr ? c.body->size() : 0);
-    if (c.written >= total) return write_complete(c, true);
+        ex.head.size() + (ex.body != nullptr ? ex.body->size() : 0);
+    if (ex.written >= total) return write_complete(c, true);
     if (!c.can_write) return true;  // parked until the next EPOLLOUT edge
     ConnectionFaults* faults = c.stream.faults_state();
-    std::size_t want = total - c.written;
+    std::size_t want = total - ex.written;
     if (faults != nullptr) {
-      if (!c.write_gate_passed) {
-        const auto delay = faults->write_defer(!c.response_started);
-        c.write_gate_passed = true;
+      if (!ex.write_gate_passed) {
+        const auto delay = faults->write_defer(!ex.response_started);
+        ex.write_gate_passed = true;
         if (delay > 0ms) {
           start_defer(c, Conn::State::kDeferredWrite, delay,
                       obs::Phase::kWrite);
@@ -917,446 +764,104 @@ bool NodeServer::drive_write(Conn& c) {
         c.stream.hard_reset();
         return write_complete(c, false);
       }
-      if (want == 0 && !c.throttled_min_write) {
+      if (want == 0 && !ex.throttled_min_write) {
         // Sub-byte throttle slice: pace one slice, then move one byte —
         // a zero clamp must never starve (or kill) the connection.
-        c.throttled_min_write = true;
+        ex.throttled_min_write = true;
         start_defer(c, Conn::State::kDeferredWrite, faults->throttle_slice(),
                     obs::Phase::kWrite);
         return true;
       }
       if (want == 0) want = 1;
-      c.throttled_min_write = false;
+      ex.throttled_min_write = false;
     }
     // Gather the remainder: serialized head first, then the body.
     std::string_view segments[2];
     std::size_t count = 0;
     std::size_t budget = want;
-    if (c.written < c.head.size()) {
-      const auto chunk = std::string_view(c.head).substr(c.written, budget);
+    if (ex.written < ex.head.size()) {
+      const auto chunk = std::string_view(ex.head).substr(ex.written, budget);
       segments[count++] = chunk;
       budget -= chunk.size();
     }
-    if (budget > 0 && c.body != nullptr) {
+    if (budget > 0 && ex.body != nullptr) {
       const std::size_t body_off =
-          c.written > c.head.size() ? c.written - c.head.size() : 0;
-      const auto chunk = std::string_view(*c.body).substr(body_off, budget);
+          ex.written > ex.head.size() ? ex.written - ex.head.size() : 0;
+      const auto chunk = std::string_view(*ex.body).substr(body_off, budget);
       if (!chunk.empty()) segments[count++] = chunk;
     }
     const auto w = c.stream.write_some_v_nb(segments, count);
-    c.write_gate_passed = false;
+    ex.write_gate_passed = false;
     if (!w.ok) return write_complete(c, false);
     if (w.would_block) {
       c.can_write = false;
       continue;  // loop top parks on !can_write
     }
-    c.response_started = true;
+    ex.response_started = true;
     if (faults != nullptr) faults->note_write_nb(w.written);
-    c.written += w.written;
+    ex.written += w.written;
   }
 }
 
 bool NodeServer::write_complete(Conn& c, bool ok) {
+  Conn::Exchange& ex = c.ex;
   lap(c, obs::Phase::kWrite);
   if (tracing()) {
-    trace_span("send", c.trace_id, c.t_send_start,
-               config_.tracer->now_seconds() - c.t_send_start);
+    trace_phase(*config_.tracer, config_.node_id, "send", ex.trace_id,
+                ex.t_send_start);
   }
   const double total_s =
-      (c.served == 0 ? c.queue_wait_s : 0.0) +
+      ex.queue_wait_s +
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    c.request_start)
+                                    ex.request_start)
           .count();
-  c.clock.add(obs::Phase::kTotal, total_s);
-  if (c.observe_response_hist && response_histogram_ != nullptr) {
-    response_histogram_->observe(total_s);
-  }
-  if (!c.suppress_record) {
-    record_phases(c.clock, c.trace_id, c.method, c.path, c.status,
-                  c.conn_faulted);
-  }
-  if (ok || !c.count_handled_on_success) ++handled_;
+  ex.clock.add(obs::Phase::kTotal, total_s);
+  if (ex.observe_response_hist) metrics_.response_seconds.observe(total_s);
+  if (!ex.suppress_record) record_phases(c);
+  if (ok || !ex.count_handled_on_success) ++handled_;
   // Work leaving the system: the completion rate prices drain estimates.
   overload_.record_completion(board_.now_seconds());
-  if (c.inflight_marked) {
-    if (inflight_gauge_ != nullptr) inflight_gauge_->add(-1);
-    c.inflight_marked = false;
+  if (ex.inflight_marked) {
+    metrics_.inflight.add(-1);
+    ex.inflight_marked = false;
   }
-  if (!ok || !c.keep_alive) {
+  if (!ok || !ex.keep_alive) {
     if (ok) c.stream.shutdown_write();
     destroy_conn(c.id);
     return false;
   }
-  reset_for_next_request(c);
+  // Next request on this keep-alive connection: a fresh exchange, and the
+  // header budget restarts.
+  c.served += 1;
+  c.ex = Conn::Exchange{};
+  c.state = Conn::State::kReading;
+  c.read_deadline = deadline_after(read_budget());
   return drive_read(c);
 }
 
-void NodeServer::reset_for_next_request(Conn& c) {
-  c.served += 1;
-  c.parser = std::make_unique<http::RequestParser>();
-  c.clock = obs::PhaseClock{};
-  c.got_bytes = false;
-  c.keep_alive = false;
-  c.trace_id = 0;
-  c.state = Conn::State::kReading;
-  c.wait_phase = obs::Phase::kHeaderRead;
-  c.idle_wait = true;
-  c.head.clear();
-  c.body.reset();
-  c.written = 0;
-  c.status = 0;
-  c.method.clear();
-  c.path.clear();
-  c.read_gate_passed = false;
-  c.throttled_min_read = false;
-  c.response_started = false;
-  c.has_write_deadline = false;
-  c.inflight_marked = false;
-  c.queue_wait_s = 0.0;
-  c.read_deadline = deadline_after(read_budget());
-  c.phase_mark = std::chrono::steady_clock::now();
-  c.t_parse_start = tracing() ? config_.tracer->now_seconds() : 0.0;
-}
-
-int NodeServer::choose_node(int owner, std::string_view path) const {
-  const int self = config_.node_id;
-  if (!config_.broker.enable_redirects) return self;
-  const std::vector<NodeLoad> loads = board_.snapshot_all();
-  // Cache-aware placement: a candidate holding the document resident
-  // serves it from RAM over the zero-copy path, so its apparent load gets
-  // a configurable discount (the heterogeneous-balancing literature's
-  // "affinity" term). Off unless a directory is attached and the knob set.
-  const CacheDirectory* caches =
-      config_.broker.cache_hit_discount > 0.0 ? config_.caches : nullptr;
-  // Δ-inflation included: redirects already aimed at a node count as load
-  // even before their connections arrive (the unsynchronized-herd guard).
-  // Bytes in flight weigh in too, scaled to connection units, so a node
-  // streaming a few large documents does not masquerade as idle.
-  const auto load_of = [&](int n) {
-    const NodeLoad& l = loads[static_cast<std::size_t>(n)];
-    double load = static_cast<double>(l.effective_connections());
-    if (config_.broker.bytes_per_connection > 0.0) {
-      load += static_cast<double>(l.bytes_in_flight) /
-              config_.broker.bytes_per_connection;
-    }
-    if (caches != nullptr && caches->resident(n, path)) {
-      load -= config_.broker.cache_hit_discount;
-    }
-    return load;
-  };
-  // File locality first: the owner serves from its "local disk" unless it
-  // is clearly busier than we are — or browned out: a peer that is
-  // shedding by class must not be handed fresh work, even its own files.
-  if (owner != self && owner >= 0 &&
-      owner < static_cast<int>(loads.size()) &&
-      loads[static_cast<std::size_t>(owner)].available &&
-      !loads[static_cast<std::size_t>(owner)].overloaded &&
-      load_of(owner) <=
-          load_of(self) + config_.broker.locality_pull_threshold) {
-    return owner;
-  }
-  // Otherwise balance on connection-equivalent load. Overloaded peers are
-  // skipped outright (their own admission gate would just 503 the hop);
-  // self stays eligible — serving locally, even degraded, beats bouncing
-  // the client into a wall.
-  int best = self;
-  double best_load = load_of(self);
-  for (int n = 0; n < static_cast<int>(loads.size()); ++n) {
-    if (n == self || !loads[static_cast<std::size_t>(n)].available ||
-        loads[static_cast<std::size_t>(n)].overloaded) {
-      continue;
-    }
-    if (load_of(n) + config_.broker.min_connection_advantage <= best_load) {
-      best = n;
-      best_load = load_of(n);
-    }
-  }
-  return best;
-}
-
-NodeServer::ProcessOutcome NodeServer::process_request(
-    const http::Request& request, std::uint64_t trace_id,
-    obs::PhaseClock& clock) {
-  const int self = config_.node_id;
-  ProcessOutcome out;
-  const auto finish = [&](http::Response response) {
-    response.headers.add("Server", config_.server_name);
-    out.action.response = std::move(response);
-    return std::move(out);
-  };
-
-  const bool is_post = request.method == http::Method::kPost;
-  if (request.method != http::Method::kGet &&
-      request.method != http::Method::kHead && !is_post) {
-    return finish(http::make_error(http::Status::kNotImplemented));
-  }
-  const auto canonical = http::canonicalize_target(request.target);
-  if (!canonical) {
-    return finish(http::make_error(http::Status::kBadRequest, "bad target"));
-  }
-
-  // --- Introspection: every node answers for itself ---------------------
-  if (canonical->path == "/sweb/status") {
-    return finish(status_response());
-  }
-  if (canonical->path == "/sweb/metrics") {
-    return finish(metrics_response());
-  }
-
-  const DocStore::Entry* doc = docs_.find(canonical->path);
-  if (doc == nullptr) {
-    err404_.fetch_add(1, std::memory_order_relaxed);
-    if (err404_counter_ != nullptr) err404_counter_->inc();
-    if (errors_counter_ != nullptr) errors_counter_->inc();
-    return finish(http::make_error(http::Status::kNotFound, canonical->path));
-  }
-  const CgiHandler* cgi = docs_.cgi_for(canonical->path);
-  if (is_post && cgi == nullptr) {
-    // POST only makes sense against a dynamic endpoint.
-    return finish(http::make_error(http::Status::kNotImplemented,
-                                   "POST to static content"));
-  }
-
-  // --- Analyze & possibly redirect ---------------------------------------
-  // The at-most-once marker must survive a standard browser following the
-  // 302, so it travels in the redirect URL's query string (clients that
-  // set the X-Sweb-Redirected header are honored too).
-  const bool already_redirected =
-      request.headers.has("X-Sweb-Redirected") ||
-      canonical->query.find("sweb-hop=1") != std::string::npos;
-  const bool is_head = request.method == http::Method::kHead;
-  // Conditional freshness is decided up front because it changes what
-  // this request costs, not just what it answers. RFC 9110 §13.1.3 applies
-  // If-Modified-Since to HEAD as much as to GET.
-  bool not_modified = false;
-  if (cgi == nullptr) {
-    if (const auto ims = request.headers.get("If-Modified-Since")) {
-      const auto since = http::parse_http_date(*ims);
-      not_modified = since.has_value() && doc->last_modified <= *since;
-    }
-  }
-  // --- Brownout admission gate -------------------------------------------
-  // Past healthy, the node keeps doing only cheap work: HEAD and 304
-  // answers move headers, cache-resident documents go out zero-copy from
-  // RAM. CGI — the CPU-bound class — and documents that would need the
-  // modelled disk read get 503 + Retry-After; the LoadBoard overload
-  // flag published alongside the state makes every peer's broker route
-  // new 302 assignments around this node while it degrades.
-  if (overload_.state() != OverloadState::kHealthy && !is_head &&
-      !not_modified) {
-    const char* reject = nullptr;
-    if (cgi != nullptr) {
-      shed_cgi_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_cgi_counter_ != nullptr) shed_cgi_counter_->inc();
-      reject = "brownout: dynamic content shed";
-    } else if (config_.caches != nullptr && config_.caches->enabled() &&
-               !config_.caches->resident(self, canonical->path)) {
-      shed_uncached_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_uncached_counter_ != nullptr) shed_uncached_counter_->inc();
-      reject = "brownout: non-resident document shed";
-    }
-    if (reject != nullptr) {
-      if (err503_counter_ != nullptr) err503_counter_->inc();
-      if (errors_counter_ != nullptr) errors_counter_->inc();
-      // This request never reaches connection_opened, so any Δ-inflation
-      // a redirect placed here is consumed now, same as an accept-path
-      // shed — a browned-out node must not stay phantom-inflated.
-      board_.note_shed(self);
-      return finish(brownout_response(reject));
-    }
-  }
-
-  // Charge the board the body bytes this node will actually write: HEAD
-  // and 304 answers move headers only, and a CGI entry's static size is
-  // zero (its body is the handler's business). Charging doc->size()
-  // unconditionally left phantom bytes_in_flight on every HEAD/304 —
-  // skewing each peer's redirect arithmetic and the audit's t_data
-  // prediction.
-  const std::uint64_t expected =
-      (is_head || not_modified) ? 0 : doc->size();
-  board_.connection_opened(self, expected);
-  struct ConnectionGuard {
-    LoadBoard& board;
-    int node;
-    std::uint64_t bytes;
-    bool armed = true;
-    ~ConnectionGuard() {
-      if (armed) board.connection_closed(node, bytes);
-    }
-  } guard{board_, self, expected};
-
-  if (!already_redirected) {
-    const bool tracing_on = tracing();
-    const double t_analysis =
-        tracing_on ? config_.tracer->now_seconds() : 0.0;
-    const auto decide_start = std::chrono::steady_clock::now();
-    const int target = choose_node(doc->owner, canonical->path);
-    if (config_.audit != nullptr && trace_id != 0) {
-      record_audit_decision(trace_id, target,
-                            static_cast<double>(expected));
-    }
-    clock.add(obs::Phase::kBrokerDecide,
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - decide_start)
-                  .count());
-    if (tracing_on) {
-      trace_span("analysis", trace_id, t_analysis,
-                 config_.tracer->now_seconds() - t_analysis);
-    }
-    if (target != self &&
-        static_cast<std::size_t>(target) < peer_ports_.size()) {
-      board_.note_redirected(self, target);
-      if (redirects_counter_ != nullptr) redirects_counter_->inc();
-      if (tracing_on) {
-        config_.tracer->add_instant(
-            "redirect to node " + std::to_string(target), "phase",
-            config_.tracer->now_seconds(), self,
-            static_cast<std::int64_t>(trace_id));
-      }
-      // The at-most-once marker and the request id both ride the Location
-      // query string: they must survive a standard browser that follows
-      // the 302 without copying any custom headers.
-      std::string query = canonical->query.empty()
-                              ? "sweb-hop=1"
-                              : canonical->query + "&sweb-hop=1";
-      if (trace_id != 0) {
-        query += "&sweb-rid=" + std::to_string(trace_id);
-      }
-      const std::string location =
-          "http://127.0.0.1:" +
-          std::to_string(peer_ports_[static_cast<std::size_t>(target)]) +
-          canonical->path + "?" + query;
-      http::Response moved = http::make_redirect(location);
-      if (trace_id != 0) {
-        moved.headers.set("X-SWEB-Request-Id", std::to_string(trace_id));
-      }
-      return finish(std::move(moved));
-    }
-  }
-
-  // --- Fulfill -------------------------------------------------------------
-  const bool tracing_on = tracing();
-  const double t_data = tracing_on ? config_.tracer->now_seconds() : 0.0;
-  // Shared-clock service start: joined with the origin node's decision
-  // timestamp, this is the observed t_redirection.
-  const double service_start = board_.now_seconds();
-  if (cgi != nullptr) {
-    // Dynamic content is the CPU-bound stage: hand what the reactor needs
-    // to run the handler on the CGI pool and finish on handback. The board
-    // charge stays open across the asynchronous execution — ownership
-    // moves to the connection (closed at finish_cgi, or when a dying
-    // connection is destroyed).
-    out.cgi_pending = true;
-    out.cgi = cgi;
-    out.query = canonical->query;
-    out.is_head = is_head;
-    out.board_charge = expected;
-    out.service_start_s = service_start;
-    out.t_data_trace_s = t_data;
-    guard.armed = false;
-    return out;
-  }
-  const auto fulfill_start = std::chrono::steady_clock::now();
-  // A static request's content assembly is doc_read (the paper's t_data).
-  const auto lap_fulfill = [&] {
-    clock.add(obs::Phase::kDocRead,
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - fulfill_start)
-                  .count());
-  };
-  const auto record_outcome = [&] {
-    if (config_.audit == nullptr || trace_id == 0) return;
-    obs::Observation observation;
-    observation.service_start_ts_s = service_start;
-    observation.completion_ts_s = board_.now_seconds();
-    // Join the measured phases: doc_read is the observed t_data. A phase
-    // the request never entered reports 0 (the cost genuinely not paid),
-    // matching the predictor's cost terms.
-    observation.t_data =
-        clock.touched(obs::Phase::kDocRead)
-            ? clock.seconds(obs::Phase::kDocRead)
-            : 0.0;
-    observation.t_cpu =
-        clock.touched(obs::Phase::kCgiExec)
-            ? clock.seconds(obs::Phase::kCgiExec)
-            : 0.0;
-    config_.audit->record_outcome(trace_id, observation);
-  };
-  // Conditional GET/HEAD: an If-Modified-Since at or after the document's
-  // mtime earns a body-less 304 (NCSA httpd supported this in 1994).
-  if (not_modified) {
-    http::Response fresh;
-    fresh.status = http::Status::kNotModified;
-    fresh.headers.add("Last-Modified",
-                      http::format_http_date(doc->last_modified));
-    fresh.headers.add("X-Sweb-Node", std::to_string(self));
-    board_.note_served(self);
-    lap_fulfill();
-    record_outcome();
-    return finish(std::move(fresh));
-  }
-  const std::string mime(http::mime_type_for_path(canonical->path));
-  NodeCache* cache =
-      config_.caches != nullptr && config_.caches->enabled()
-          ? &config_.caches->node(self)
-          : nullptr;
-  // GET and HEAD share one head; only a GET carries a body.
-  http::Response ok;  // 200
-  ok.headers.add("Content-Type", mime);
-  ok.headers.add("Content-Length", std::to_string(doc->size()));
-  if (!is_head && cache != nullptr && cache->lookup(canonical->path)) {
-    // Resident: the body aliases the DocStore's shared buffer (no copy).
-    out.action.body = doc->content;
-  } else if (!is_head) {
-    // Cold/evicted: a private copy stands in for the disk read (this is
-    // the doc_read cost a cache hit skips), then the document is admitted
-    // so the next request hits.
-    out.action.body = std::make_shared<const std::string>(*doc->content);
-    if (cache != nullptr) cache->insert(canonical->path, doc->size());
-  }
-  ok.headers.add("Last-Modified",
-                 http::format_http_date(doc->last_modified));
-  lap_fulfill();
-  if (tracing_on) {
-    trace_span("data", trace_id, t_data,
-               config_.tracer->now_seconds() - t_data);
-  }
-  ok.headers.add("X-Sweb-Node", std::to_string(self));
-  if (trace_id != 0) {
-    ok.headers.set("X-SWEB-Request-Id", std::to_string(trace_id));
-  }
-  board_.note_served(self);
-  record_outcome();
-  return finish(std::move(ok));
-}
-
-void NodeServer::record_phases(const obs::PhaseClock& clock,
-                               std::uint64_t trace_id,
-                               const std::string& method,
-                               const std::string& path, int status,
-                               bool chaos_faulted) {
+void NodeServer::record_phases(const Conn& c) {
+  const obs::PhaseClock& clock = c.ex.clock;
   for (const obs::Phase phase : obs::all_phases()) {
     const auto i = static_cast<std::size_t>(phase);
-    if (phase_hist_[i] != nullptr && clock.touched(phase)) {
-      phase_hist_[i]->observe(clock.seconds(phase));
-    }
+    if (clock.touched(phase)) metrics_.phases[i]->observe(clock.seconds(phase));
   }
   if (config_.slow_log == nullptr) return;
   const double budget_s =
       std::chrono::duration<double>(config_.slow_budget).count();
   const double total_s = clock.seconds(obs::Phase::kTotal);
   const bool over_budget = budget_s > 0.0 && total_s > budget_s;
+  const bool chaos_faulted = c.stream.faulted();
   // Only outliers pay for forensics: budget breaches, plus every request
   // that rode a chaos-faulted connection (the drill's evidence trail).
   if (!over_budget && !chaos_faulted) return;
   obs::SlowRequestRecord record;
   record.ts_s = board_.now_seconds();
-  record.rid = trace_id;
+  record.rid = c.ex.trace_id;
   record.node = config_.node_id;
-  record.method = method;
-  record.path = path;
-  record.status = status;
-  record.redirected = status == 302;
+  record.method = c.ex.method;
+  record.path = c.ex.path;
+  record.status = c.ex.status;
+  record.redirected = c.ex.status == 302;
   record.chaos_faulted = chaos_faulted;
   record.total_s = total_s;
   record.budget_s = budget_s;
@@ -1372,56 +877,6 @@ std::uint64_t NodeServer::next_request_id() {
   // when tracing itself is disabled); a lone node falls back to its own.
   if (config_.tracer != nullptr) return config_.tracer->next_request_id();
   return local_ids_.fetch_add(1, std::memory_order_relaxed);
-}
-
-obs::CostPrediction NodeServer::predict_cost(
-    int candidate, double size_bytes,
-    const std::vector<NodeLoad>& loads) const {
-  const RuntimeBrokerParams& p = config_.broker;
-  const double queue =
-      candidate >= 0 && candidate < static_cast<int>(loads.size())
-          ? static_cast<double>(
-                loads[static_cast<std::size_t>(candidate)]
-                    .effective_connections())
-          : 0.0;
-  obs::CostPrediction cost;
-  if (candidate != config_.node_id) cost.t_redirection = p.redirect_rtt_s;
-  // Both the data channel and the CPU degrade with the candidate's queue —
-  // the runtime analogue of the paper's b/(1+queue) and ops*run_queue
-  // scalings.
-  cost.t_data = size_bytes / p.disk_bytes_per_sec * (1.0 + queue);
-  cost.t_cpu = p.request_cpu_s * (1.0 + queue);
-  return cost;
-}
-
-void NodeServer::record_audit_decision(std::uint64_t request_id, int target,
-                                       double size_bytes) const {
-  const std::vector<NodeLoad> loads = board_.snapshot_all();
-  obs::Decision decision;
-  decision.request_id = request_id;
-  decision.origin = config_.node_id;
-  decision.chosen = target;
-  decision.decision_ts_s = board_.now_seconds();
-  double best_other = std::numeric_limits<double>::infinity();
-  for (int n = 0; n < static_cast<int>(loads.size()); ++n) {
-    if (n != config_.node_id &&
-        !loads[static_cast<std::size_t>(n)].available) {
-      continue;
-    }
-    obs::CandidatePrediction candidate;
-    candidate.node = n;
-    candidate.cost = predict_cost(n, size_bytes, loads);
-    if (n == target) {
-      decision.predicted = candidate.cost;
-    } else {
-      best_other = std::min(best_other, candidate.cost.total());
-    }
-    decision.candidates.push_back(std::move(candidate));
-  }
-  // Connection counts decide, the cost model only narrates — so the margin
-  // (and a negative one) reports how the model prices the heuristic's pick.
-  decision.runner_up_margin = best_other - decision.predicted.total();
-  config_.audit->record_decision(std::move(decision));
 }
 
 http::Response NodeServer::metrics_response() const {
@@ -1450,18 +905,9 @@ http::Response NodeServer::status_response() const {
   w.key("server").value(config_.server_name);
   w.key("uptime_seconds").value(uptime);
   w.key("requests_handled").value(handled_.load());
-  w.key("inflight")
-      .value(inflight_gauge_ != nullptr ? inflight_gauge_->value()
-                                        : std::int64_t{0});
-  w.key("workers").value(
-      static_cast<std::int64_t>(std::max(1, config_.max_workers)));
-  w.key("workers_busy").value(static_cast<std::int64_t>(workers_busy()));
-  w.key("queue_depth").value(static_cast<std::int64_t>(queue_depth()));
-  w.key("max_pending").value(
-      static_cast<std::int64_t>(std::max(1, config_.max_pending)));
-  // The reactor's real admission story: connections held right now, and
-  // the cap past which arrivals are shed. workers_busy/queue_depth above
-  // are views derived from the same count (pool-era dashboard shape).
+  w.key("inflight").value(metrics_.inflight.value());
+  // The reactor's admission story: connections held right now, and the
+  // cap past which arrivals are shed.
   w.key("connections")
       .value(static_cast<std::int64_t>(active_connections()));
   w.key("max_connections")
@@ -1472,10 +918,10 @@ http::Response NodeServer::status_response() const {
   // 503 = load shed (cap/accept refusals plus brownout class rejections).
   // sweb-top sums these into its ERR column.
   w.key("errors_by_reason").begin_object();
-  w.key("400").value(err400_.load());
-  w.key("404").value(err404_.load());
-  w.key("408").value(err408_.load());
-  w.key("503").value(shed_count() + shed_cgi_.load() + shed_uncached_.load());
+  w.key("400").value(metrics_.err400.value());
+  w.key("404").value(metrics_.err404.value());
+  w.key("408").value(metrics_.err408.value());
+  w.key("503").value(metrics_.err503.value());
   w.end_object();
   // Overload control: the admission governor's state and the signals it
   // runs on. States: "healthy" | "brownout" | "shedding"; sheds by class
@@ -1488,11 +934,11 @@ http::Response NodeServer::status_response() const {
   w.key("completion_rate_rps").value(overload_.completion_rate_rps());
   w.key("estimated_drain_s").value(overload_.estimated_drain_s());
   w.key("retry_after_s")
-      .value(static_cast<std::int64_t>(retry_after_now()));
+      .value(static_cast<std::int64_t>(app_.retry_after_now()));
   w.key("transitions").value(overload_.transitions());
-  w.key("shed_cgi").value(shed_cgi_.load());
-  w.key("shed_uncached").value(shed_uncached_.load());
-  w.key("shed_accept").value(shed_accept_.load());
+  w.key("shed_cgi").value(metrics_.shed_cgi.value());
+  w.key("shed_uncached").value(metrics_.shed_uncached.value());
+  w.key("shed_accept").value(metrics_.shed_accept.value());
   w.end_object();
   // Chaos: whether this node's link is artificially degraded, and the
   // damage done so far (only present knobs; an inert node reports false/0).
@@ -1513,21 +959,13 @@ http::Response NodeServer::status_response() const {
   // (count 0 when nothing recorded yet) so scrapers key on a fixed shape.
   w.key("phases").begin_object();
   for (const obs::Phase phase : obs::all_phases()) {
-    const obs::Histogram* hist =
-        phase_hist_[static_cast<std::size_t>(phase)];
+    const auto value = obs::histogram_value(
+        *metrics_.phases[static_cast<std::size_t>(phase)]);
     w.key(obs::phase_name(phase)).begin_object();
-    if (hist != nullptr) {
-      const auto value = obs::histogram_value(*hist);
-      w.key("count").value(value.count);
-      w.key("p50_s").value(obs::histogram_quantile(value, 0.50));
-      w.key("p95_s").value(obs::histogram_quantile(value, 0.95));
-      w.key("p99_s").value(obs::histogram_quantile(value, 0.99));
-    } else {
-      w.key("count").value(std::uint64_t{0});
-      w.key("p50_s").value(0.0);
-      w.key("p95_s").value(0.0);
-      w.key("p99_s").value(0.0);
-    }
+    w.key("count").value(value.count);
+    w.key("p50_s").value(obs::histogram_quantile(value, 0.50));
+    w.key("p95_s").value(obs::histogram_quantile(value, 0.95));
+    w.key("p99_s").value(obs::histogram_quantile(value, 0.99));
     w.end_object();
   }
   w.end_object();

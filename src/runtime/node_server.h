@@ -1,23 +1,25 @@
-// One SWEB node as a real concurrent HTTP server.
+// One SWEB node as a real concurrent HTTP server: the transport half.
 //
-// Each NodeServer runs the paper's per-node pipeline against live sockets:
-// accept -> parse (preprocess) -> broker decision -> 302 redirect to a
-// better node, or serve the document. The X-Sweb-Redirected request header
-// marks a request that already bounced once, enforcing the at-most-once
-// rule across real connections.
+// NodeServer owns the sockets and the node's lifecycle; the per-request
+// application (broker, brownout gate, board charge, document fulfil) lives
+// in RequestApp (request_app.h), which this class drives once per parsed
+// request. The paper's per-node pipeline — accept -> parse (preprocess) ->
+// broker decision -> 302 redirect to a better node, or serve the document
+// — thus splits at the parsed request. The X-Sweb-Redirected request
+// header (or the `sweb-hop=1` query marker) enforces the at-most-once
+// redirect rule across real connections.
 //
 // Concurrency: a single reactor thread runs an edge-triggered epoll event
 // loop over nonblocking sockets. Every connection is a small state machine
 // (header read -> parse -> serve -> write) that resumes partial reads and
 // writes on readiness, so an idle keep-alive connection costs a few hundred
-// bytes of state instead of a parked thread — concurrency is bounded by
-// Config::max_connections (default max_workers + max_pending, the old
-// pool+backlog cap), not by a thread count. Connections past the cap are
-// shed with 503 Service Unavailable, which is what makes the broker's
-// effective_connections() signal meaningful. Deadlines (the slowloris 408
-// header budget, silent idle keep-alive close, write stalls) live in a
-// min-heap timer wheel with lazy invalidation. CGI handlers — the only
-// CPU-bound stage — run on a small worker pool (Config::max_workers) and
+// bytes of state instead of a parked thread. Admission is bounded by
+// Config::max_connections (48 by default); arrivals past it are shed with
+// one best-effort nonblocking 503 Service Unavailable, which is what makes
+// the broker's effective_connections() signal meaningful. Deadlines (the
+// slowloris 408 header budget, silent idle keep-alive close, write stalls)
+// live in a min-heap timer wheel with lazy invalidation. CGI handlers —
+// the only CPU-bound stage — run on a small pool (Config::max_workers) and
 // hand their responses back to the loop through an eventfd wakeup.
 //
 // Observability: every node serves GET /sweb/status — a JSON snapshot of
@@ -30,7 +32,7 @@
 // target nodes' spans stitch into one logical trace.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -57,64 +59,26 @@
 #include "runtime/node_cache.h"
 #include "runtime/overload.h"
 #include "runtime/reactor.h"
+#include "runtime/request_app.h"
 #include "runtime/socket.h"
 
 namespace sweb::runtime {
 
-/// Redirect decision logic shared by all nodes (the runtime broker): prefer
-/// the owner node unless it is markedly busier than the best alternative.
-struct RuntimeBrokerParams {
-  /// A peer must be at least this many connections lighter to redirect to.
-  int min_connection_advantage = 2;
-  /// Redirect to the owner when our own queue is at least this long.
-  int locality_pull_threshold = 0;
-  bool enable_redirects = true;
-  /// Bytes in flight that weigh as much as one active connection when the
-  /// broker compares candidates, so a node streaming a few large documents
-  /// stops looking idle next to one serving many small ones. <= 0 disables
-  /// the bytes term (connection counts only).
-  double bytes_per_connection = 64.0 * 1024.0;
-  /// Cache-aware placement: connection units subtracted from a candidate's
-  /// apparent load when the requested document is resident in its page
-  /// cache — a warm peer serves from RAM (zero-copy), so it may be worth a
-  /// redirect even against a modest connection deficit. <= 0 (the default)
-  /// keeps placement purely load-based; needs a CacheDirectory attached to
-  /// take effect.
-  double cache_hit_discount = 0.0;
-
-  // Cost-prediction constants for the decision audit. The runtime broker
-  // decides on connection counts; these let it also express that decision
-  // in the paper's cost terms (t_redirection + t_data + t_cpu) so the
-  // audit can grade the prediction against observed durations. They do NOT
-  // influence which node is chosen.
-  double redirect_rtt_s = 1e-3;        // loopback 302 + reconnect
-  double disk_bytes_per_sec = 20e6;    // per-request data bandwidth
-  double request_cpu_s = 2e-4;         // parse + serve CPU per request
-};
-
 class NodeServer {
  public:
-  struct Config {
-    int node_id = 0;
-    std::string server_name = "SWEB/1.0";
-    RuntimeBrokerParams broker;
+  /// The application's knobs (node id, server name, broker, caches,
+  /// tracer, audit, Retry-After hint) plus the transport's own.
+  struct Config : RequestApp::Config {
     std::chrono::milliseconds io_timeout{2000};
     /// HTTP/1.0 keep-alive: requests served on one connection before the
     /// server closes it anyway (a fairness/robustness cap).
     int max_requests_per_connection = 32;
     /// CGI execution pool: the reactor offloads CGI handlers (the only
     /// CPU-bound stage) to up to this many threads (clamped to >= 1).
-    /// Together with max_pending this also derives the default connection
-    /// cap, preserving the old worker-pool admission arithmetic.
     int max_workers = 16;
-    /// Legacy backlog knob (clamped to >= 1): its only remaining role is
-    /// deriving the default connection cap (max_workers + max_pending) and
-    /// the queue_depth gauge's ceiling.
-    int max_pending = 32;
-    /// Hard cap on concurrently admitted connections; arrivals past it are
-    /// shed with 503. 0 (the default) derives max_workers + max_pending —
-    /// the exact admission bound of the old bounded-pool server.
-    int max_connections = 0;
+    /// Hard cap on concurrently admitted connections (clamped to >= 1);
+    /// arrivals past it are shed with 503.
+    int max_connections = 48;
     /// Liveness lease period: how often this node stamps its own LoadBoard
     /// entry (the paper's 2-3 s loadd tick; sub-second in tests). Each
     /// stamp also runs the board's failure detector, so peers whose stamps
@@ -124,11 +88,6 @@ class NodeServer {
     /// request (header + body) before the node answers 408 Request
     /// Timeout and reclaims the connection. Zero falls back to io_timeout.
     std::chrono::milliseconds header_timeout{0};
-    /// The Retry-After hint attached to shed 503s (rounded up to whole
-    /// seconds on the wire, clamped to [1, 120]; retry-capable clients
-    /// honor it). With the overload controller enabled this is only the
-    /// fallback — the hint becomes the controller's estimated drain time.
-    std::chrono::milliseconds retry_after_hint{1000};
     /// Overload control (off by default): the reactor samples queue delay
     /// and in-flight work into an OverloadController; brownout sheds CGI
     /// and non-resident documents, shedding refuses at accept with an
@@ -138,19 +97,10 @@ class NodeServer {
     /// accepts (chaos drills); an inactive plan (the default) is free.
     FaultPlan chaos{};
     std::uint64_t chaos_seed = ChaosDirector::kDefaultSeed;
-    /// Cluster-shared residency caches (typically the MiniCluster's; may
-    /// be null — every static GET then pays the modelled copy and the
-    /// broker applies no cache discount).
-    CacheDirectory* caches = nullptr;
-    /// Optional telemetry sinks (typically the MiniCluster's; may be null).
+    /// Optional metrics sink (typically the MiniCluster's; may be null).
+    /// Without a registry the node counts into one of its own, which
+    /// /sweb/status and /sweb/metrics do not export.
     obs::Registry* registry = nullptr;
-    obs::SpanTracer* tracer = nullptr;
-    /// Shared decision audit: the origin node records the brokered choice,
-    /// the serving node joins it with observed durations. The request id
-    /// rides the 302 (`sweb-rid` query param / X-SWEB-Request-Id header)
-    /// so cross-node joins land; timestamps come from the shared
-    /// LoadBoard clock.
-    obs::DecisionAudit* audit = nullptr;
     /// Slow-request forensics sink (typically the MiniCluster's; may be
     /// null). A request whose measured total exceeds `slow_budget` — or
     /// that rode a chaos-faulted connection — leaves one JSONL record
@@ -174,7 +124,7 @@ class NodeServer {
   [[nodiscard]] int node_id() const noexcept { return config_.node_id; }
 
   void set_peer_ports(std::vector<std::uint16_t> ports) {
-    peer_ports_ = std::move(ports);
+    app_.set_peer_ports(std::move(ports));
   }
 
   void start();
@@ -213,28 +163,24 @@ class NodeServer {
     return active_conns_.load(std::memory_order_relaxed);
   }
   /// The admission cap: connections at/past it are shed with 503.
-  [[nodiscard]] int connection_cap() const noexcept;
-  /// Connections occupying "worker" capacity (0..max_workers) — the old
-  /// pool gauge, now derived: min(active connections, max_workers). Kept
-  /// so dashboards and the shed tests keep their shape.
-  [[nodiscard]] int workers_busy() const noexcept;
-  /// Connections beyond worker capacity but under the cap — the old
-  /// pending-queue gauge, now derived from the same connection count.
-  [[nodiscard]] std::size_t queue_depth() const noexcept;
-  /// Connections answered 503 because the admission cap was reached.
+  [[nodiscard]] int connection_cap() const noexcept {
+    return std::max(1, config_.max_connections);
+  }
+  /// Connections answered 503 because the admission cap was reached or
+  /// the node was shedding at accept.
   [[nodiscard]] std::uint64_t shed_count() const noexcept {
-    return shed_.load();
+    return metrics_.shed.value();
   }
   /// Per-reason client-visible error counts (also in /sweb/status under
-  /// "errors_by_reason"; 503s are shed_count()).
+  /// "errors_by_reason"; 503s are shed_count() plus brownout rejections).
   [[nodiscard]] std::uint64_t bad_requests() const noexcept {
-    return err400_.load();
+    return metrics_.err400.value();
   }
   [[nodiscard]] std::uint64_t request_timeouts() const noexcept {
-    return err408_.load();
+    return metrics_.err408.value();
   }
   [[nodiscard]] std::uint64_t not_found() const noexcept {
-    return err404_.load();
+    return metrics_.err404.value();
   }
 
   // --- Overload control ---------------------------------------------------
@@ -252,13 +198,13 @@ class NodeServer {
   void force_overload(OverloadState state);
   /// Brownout rejections by class, plus accepts refused while shedding.
   [[nodiscard]] std::uint64_t overload_shed_cgi() const noexcept {
-    return shed_cgi_.load();
+    return metrics_.shed_cgi.value();
   }
   [[nodiscard]] std::uint64_t overload_shed_uncached() const noexcept {
-    return shed_uncached_.load();
+    return metrics_.shed_uncached.value();
   }
   [[nodiscard]] std::uint64_t overload_shed_accept() const noexcept {
-    return shed_accept_.load();
+    return metrics_.shed_accept.value();
   }
 
  private:
@@ -273,21 +219,58 @@ class NodeServer {
       kDeferredWrite,  // chaos defer or throttle pacing before the next send
     };
 
+    /// Everything one request/response exchange owns. A keep-alive
+    /// connection starts the next request by assigning a fresh one, so no
+    /// field can leak from one request into the next.
+    struct Exchange {
+      http::RequestParser parser = http::RequestParser();
+      bool got_bytes = false;  // the first byte of this request arrived
+      bool keep_alive = false;
+
+      // Chaos gates ({read,write}_defer charged once per I/O op).
+      bool read_gate_passed = false;
+      bool write_gate_passed = false;
+      bool throttled_min_read = false;
+      bool throttled_min_write = false;
+      bool response_started = false;  // first send of this response done
+
+      // Phase attribution: every gap between attentions is charged to
+      // wait_phase; synchronous work laps directly.
+      obs::PhaseClock clock;
+      std::chrono::steady_clock::time_point request_start{};
+      std::chrono::steady_clock::time_point phase_mark{};
+      obs::Phase wait_phase = obs::Phase::kHeaderRead;
+      double queue_wait_s = 0.0;   // accept -> first attention (1st request)
+      double t_parse_start = 0.0;  // tracer timestamps
+      double t_send_start = 0.0;
+      std::uint64_t trace_id = 0;
+      bool inflight_marked = false;
+
+      // Response write state.
+      std::string head;  // serialized status line + headers
+      std::shared_ptr<const std::string> body;  // null when bodiless
+      std::size_t written = 0;
+      int status = 0;
+      std::string method;
+      std::string path;
+      bool suppress_record = false;  // /sweb/* scrape exclusion
+      /// Parsed requests count as handled only once written; 400s and
+      /// 408s count even when the write fails.
+      bool count_handled_on_success = false;
+      bool observe_response_hist = false;
+
+      RequestApp::CgiPending cgi;  // the handback's charge and timestamps
+    };
+
     TcpStream stream;
     std::uint64_t id = 0;
     State state = State::kReading;
     bool can_read = false;   // edge-triggered readiness cache
     bool can_write = true;   // a fresh socket is writable
-    bool conn_faulted = false;
+    std::string leftover;    // bytes past the parsed request (pipelining)
+    int served = 0;          // requests completed on this connection
 
-    // Request framing.
-    std::unique_ptr<http::RequestParser> parser;
-    std::string leftover;  // bytes past the parsed request (pipelining)
-    int served = 0;        // requests completed on this connection
-    bool got_bytes = false;
-    bool keep_alive = false;
-
-    // Deadlines (enforced through the timer heap).
+    // Deadlines and the connection's timer-heap entry.
     Deadline read_deadline{};
     Deadline write_deadline{};
     bool has_write_deadline = false;
@@ -296,65 +279,16 @@ class NodeServer {
     bool timer_armed = false;
     std::chrono::steady_clock::time_point timer_when{};
 
-    // Chaos gates ({read,write}_defer charged once per I/O op).
-    bool read_gate_passed = false;
-    bool write_gate_passed = false;
-    bool throttled_min_read = false;
-    bool throttled_min_write = false;
-    bool response_started = false;  // first send of this response done
-
-    // Phase attribution: every gap between attentions is charged to
-    // wait_phase; synchronous work laps directly.
-    obs::PhaseClock clock;
     std::chrono::steady_clock::time_point accepted_at{};
-    std::chrono::steady_clock::time_point request_start{};
-    std::chrono::steady_clock::time_point phase_mark{};
-    obs::Phase wait_phase = obs::Phase::kQueueWait;
     bool first_attention = true;
-    bool idle_wait = false;  // keep-alive think time: gap not charged
-    double queue_wait_s = 0.0;
-    double t_parse_start = 0.0;  // tracer timestamps
-    double t_send_start = 0.0;
-    double t_data_trace_s = 0.0;
-    std::uint64_t trace_id = 0;
-    bool inflight_marked = false;
 
-    // Response write state.
-    std::string head;  // serialized status line + headers
-    std::shared_ptr<const std::string> body;  // null when bodiless
-    std::size_t written = 0;
-    int status = 0;
-    std::string method;
-    std::string path;
-    bool suppress_record = false;        // /sweb/* scrape exclusion
-    bool count_handled_on_success = false;
-    bool observe_response_hist = false;
+    Exchange ex;
 
-    // CGI handback state.
-    bool is_head_cgi = false;
-    std::uint64_t board_charge = 0;
-    bool charge_open = false;  // board connection_opened awaiting close
-    double service_start_s = 0.0;
-  };
-
-  /// What process_request decided: an inline outcome carries the finished
-  /// response (and possibly a document body); a CGI outcome carries what
-  /// the loop needs to offload the handler and finish on handback.
-  struct ServeAction {
-    http::Response response;
-    /// A document's body, gathered after response.serialize_head(): the
-    /// DocStore's shared buffer when resident, a private copy when cold.
-    std::shared_ptr<const std::string> body;
-  };
-  struct ProcessOutcome {
-    ServeAction action;
-    bool cgi_pending = false;
-    const CgiHandler* cgi = nullptr;
-    std::string query;
-    bool is_head = false;
-    std::uint64_t board_charge = 0;  // open connection_opened to close later
-    double service_start_s = 0.0;    // board clock at fulfill start
-    double t_data_trace_s = 0.0;     // tracer timestamp for the data span
+    /// Keep-alive think time: a later request whose first byte has not
+    /// arrived yet. The gap is the client's, not service.
+    [[nodiscard]] bool idle() const noexcept {
+      return served > 0 && !ex.got_bytes;
+    }
   };
 
   // --- Reactor loop -------------------------------------------------------
@@ -365,40 +299,35 @@ class NodeServer {
   void destroy_conn(std::uint64_t id);
   void clear_conns();
   /// Charges the gap since the last attention to the connection's wait
-  /// phase (or starts the request clocks on first/idle attention).
+  /// phase (or starts the request clocks on first attention).
   void attend(Conn& conn);
   void lap(Conn& conn, obs::Phase phase);
-  /// Restarts the request clocks when the first byte of a keep-alive
-  /// request arrives (think time excluded).
-  void begin_request_clock(Conn& conn);
+  /// Marks the first byte of a request; on a keep-alive connection this
+  /// restarts the request clocks (think time excluded).
+  void begin_request(Conn& conn);
   /// Pumps reads/parse until EAGAIN, a defer, or a complete request.
   /// All drive_*/finish_* helpers return false when the connection was
   /// destroyed.
   [[nodiscard]] bool drive_read(Conn& conn);
   [[nodiscard]] bool finish_parse(Conn& conn, http::ParseResult state);
+  /// Answers /sweb/status and /sweb/metrics; nullopt for any other target.
+  [[nodiscard]] std::optional<http::Response> introspect(
+      const http::Request& request) const;
   /// Sends response's head, then `body` — or the response's inline body,
   /// moved into that slot. Time since the caller's phase_mark is write.
   [[nodiscard]] bool start_write(Conn& conn, http::Response response,
                                  std::shared_ptr<const std::string> body);
   [[nodiscard]] bool drive_write(Conn& conn);
   [[nodiscard]] bool write_complete(Conn& conn, bool ok);
-  void reset_for_next_request(Conn& conn);
   [[nodiscard]] bool on_timer(Conn& conn);
   [[nodiscard]] bool read_timed_out(Conn& conn);
   void start_defer(Conn& conn, Conn::State state,
                    std::chrono::milliseconds delay, obs::Phase wait_phase);
   void arm_conn_timer(Conn& conn);
   void finish_cgi(CgiPool::Result result);
-  void update_pool_gauges();
   /// Re-evaluates the overload state machine (once per loop wake) and, on
   /// a transition, publishes it: LoadBoard overload flag + state gauge.
   void evaluate_overload();
-  /// The Retry-After seconds a shed 503 carries right now: the
-  /// controller's drain estimate when enabled, the configured hint
-  /// otherwise — either way rounded up and clamped to [1, 120].
-  [[nodiscard]] int retry_after_now() const;
-  /// The brownout 503 for a request rejected by adaptive admission.
-  [[nodiscard]] http::Response brownout_response(const char* what) const;
   [[nodiscard]] std::chrono::milliseconds read_budget() const noexcept;
 
   /// Stamps this node's liveness lease every heartbeat_period and runs the
@@ -410,39 +339,15 @@ class NodeServer {
   void stop_heartbeat();
   void stop_serving();  // reactor thread, CGI pool, admitted connections
 
-  /// Parses/serves one request; Connection header is set by the caller.
-  /// `trace_id` labels this request's spans (0 when tracing is off).
-  /// Phase durations (broker_decide, doc_read) accumulate into `clock`.
-  /// A CGI request comes back cgi_pending with the handler un-run.
-  [[nodiscard]] ProcessOutcome process_request(const http::Request& request,
-                                               std::uint64_t trace_id,
-                                               obs::PhaseClock& clock);
   /// Flushes a finished request's phase vector into the per-phase
   /// histograms and, when it blew the slow budget or rode a chaos-faulted
   /// connection, into the slow log.
-  void record_phases(const obs::PhaseClock& clock, std::uint64_t trace_id,
-                     const std::string& method, const std::string& path,
-                     int status, bool chaos_faulted);
+  void record_phases(const Conn& conn);
 
   /// The /sweb/status introspection body: this node's view of the world.
   [[nodiscard]] http::Response status_response() const;
   /// The /sweb/metrics body: the registry in Prometheus text format.
   [[nodiscard]] http::Response metrics_response() const;
-
-  /// Chooses the serving node for `path` owned by `owner`; may be self.
-  /// The path feeds the broker's cache-residency discount.
-  [[nodiscard]] int choose_node(int owner, std::string_view path) const;
-
-  /// The runtime cost prediction for serving `size_bytes` on `candidate`
-  /// (board loads included) — audit bookkeeping only, never a decision
-  /// input.
-  [[nodiscard]] obs::CostPrediction predict_cost(
-      int candidate, double size_bytes,
-      const std::vector<NodeLoad>& loads) const;
-  /// Records the brokered choice with the shared audit (no-op when
-  /// detached).
-  void record_audit_decision(std::uint64_t request_id, int target,
-                             double size_bytes) const;
 
   /// Fresh cluster-unique request id (tracer-backed when one is attached,
   /// else node-local).
@@ -451,19 +356,19 @@ class NodeServer {
   [[nodiscard]] bool tracing() const noexcept {
     return config_.tracer != nullptr && config_.tracer->enabled();
   }
-  void trace_span(const char* name, std::uint64_t trace_id, double ts_s,
-                  double dur_s) const;
 
   Config config_;
-  const DocStore& docs_;
   LoadBoard& board_;
+  /// Backs the instruments when no registry is attached.
+  obs::Registry own_registry_;
+  NodeMetrics metrics_;
   OverloadController overload_;
+  RequestApp app_;
   /// Last state pushed to the board/gauge; reactor-thread-only (forced
   /// publishes from test threads write the board directly and converge).
   OverloadState published_overload_ = OverloadState::kHealthy;
   ChaosDirector chaos_;
   TcpListener listener_;
-  std::vector<std::uint16_t> peer_ports_;
   std::jthread thread_;  // the reactor loop
   // Reactor state: owned and touched by the loop thread only (stop_serving
   // clears conns_ strictly after joining the thread).
@@ -474,16 +379,7 @@ class NodeServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 2;  // 0/1 tag the listener and the wakeup
   std::atomic<int> active_conns_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> err400_{0};
-  std::atomic<std::uint64_t> err404_{0};
-  std::atomic<std::uint64_t> err408_{0};
   std::atomic<std::uint64_t> handled_{0};
-  // Overload sheds by class: brownout rejections (CGI, non-resident
-  // documents) and accepts refused while shedding.
-  std::atomic<std::uint64_t> shed_cgi_{0};
-  std::atomic<std::uint64_t> shed_uncached_{0};
-  std::atomic<std::uint64_t> shed_accept_{0};
   std::atomic<std::uint64_t> local_ids_{1};  // fallback id source, no tracer
   std::chrono::steady_clock::time_point started_at_{};
   // Liveness: the heartbeat thread sleeps on hb_cv_ so a stop request
@@ -492,30 +388,6 @@ class NodeServer {
   std::mutex hb_mutex_;
   std::condition_variable_any hb_cv_;
   bool crashed_ = false;
-  bool hung_ = false;
-
-  // Cached registry instruments (null when no registry attached).
-  obs::Counter* requests_counter_ = nullptr;
-  obs::Counter* redirects_counter_ = nullptr;
-  obs::Counter* errors_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
-  // Per-reason error counters (node.N.err.400/404/408/503): which kind of
-  // degradation a node is suffering, not just how much.
-  obs::Counter* err400_counter_ = nullptr;
-  obs::Counter* err404_counter_ = nullptr;
-  obs::Counter* err408_counter_ = nullptr;
-  obs::Counter* err503_counter_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Gauge* overload_gauge_ = nullptr;
-  obs::Counter* shed_cgi_counter_ = nullptr;
-  obs::Counter* shed_uncached_counter_ = nullptr;
-  obs::Counter* shed_accept_counter_ = nullptr;
-  obs::Gauge* workers_busy_gauge_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Histogram* response_histogram_ = nullptr;
-  // Per-phase streaming histograms (node.N.phase.<name>, log-bucketed
-  // √2 ladder); null when no registry is attached.
-  std::array<obs::Histogram*, obs::kPhaseCount> phase_hist_{};
 };
 
 }  // namespace sweb::runtime

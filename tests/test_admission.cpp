@@ -1,7 +1,8 @@
-// The bounded worker pool: N clients served concurrently per node, one
-// slow client cannot head-of-line-block the rest, and connections past the
-// worker+queue cap are shed with 503 — the runtime analogue of the
-// simulator's connection-limit/backlog model.
+// Admission and concurrency on one reactor node: N clients served
+// concurrently, one slow client cannot head-of-line-block the rest, CGI
+// handlers overlap on the CGI pool, and connections past the connection
+// cap are shed with 503 — the runtime analogue of the simulator's
+// connection-limit model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,13 +59,11 @@ template <typename Predicate>
   return parser.message();
 }
 
-TEST(WorkerPool, StalledClientDoesNotBlockOtherClients) {
-  // One node, a handful of workers, a client that connects and then sends
-  // nothing: with the serial accept loop this connection head-of-line
-  // blocks the node for the whole io_timeout; with the pool it merely
-  // occupies one worker.
+TEST(Admission, StalledClientDoesNotBlockOtherClients) {
+  // One node and a client that connects and then sends nothing: with a
+  // serial accept loop this connection head-of-line blocks the node for
+  // the whole io_timeout; the reactor merely holds one more connection.
   MiniClusterOptions options;
-  options.max_workers = 8;
   options.io_timeout = 3000ms;
   MiniCluster cluster(1, small_docbase(1), options);
   cluster.start();
@@ -72,8 +71,8 @@ TEST(WorkerPool, StalledClientDoesNotBlockOtherClients) {
   auto stalled = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                                     2000ms);
   ASSERT_TRUE(stalled.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() >= 1; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() >= 1; }));
 
   constexpr int kClients = 8;
   std::atomic<int> ok{0};
@@ -92,15 +91,15 @@ TEST(WorkerPool, StalledClientDoesNotBlockOtherClients) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_EQ(ok.load(), kClients);
-  // The stalled connection holds its worker for io_timeout = 3 s; the
-  // serial loop would make every client wait behind it. The pool must
-  // serve them all while the stall is still in progress.
+  // The stalled connection is held for io_timeout = 3 s; a serial loop
+  // would make every client wait behind it. The reactor must serve them
+  // all while the stall is still in progress.
   EXPECT_LT(elapsed, 1500ms);
 }
 
-TEST(WorkerPool, ConcurrentClientsFinishWellUnderSerialTime) {
-  // K clients against a CGI endpoint that holds a worker for ~50 ms. A
-  // serial node needs >= K * 50 ms; the pooled node overlaps the service
+TEST(Admission, ConcurrentCgiRequestsOverlap) {
+  // K clients against a CGI endpoint that holds a CGI worker for ~50 ms.
+  // A serial node needs >= K * 50 ms; K CGI workers overlap the service
   // times.
   constexpr int kClients = 8;
   MiniClusterOptions options;
@@ -130,15 +129,14 @@ TEST(WorkerPool, ConcurrentClientsFinishWellUnderSerialTime) {
   EXPECT_EQ(ok.load(), kClients);
   // Serial floor: 8 x 50 ms = 400 ms. Concurrent execution should land
   // near one service time; 250 ms leaves slack for scheduling noise while
-  // still failing the serial accept loop.
+  // still failing a serial node.
   EXPECT_LT(elapsed, 250ms);
 }
 
-TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
+TEST(Admission, ShedsWith503OnlyPastConnectionCap) {
   NodeServer::Config cfg;
   cfg.node_id = 0;
-  cfg.max_workers = 1;
-  cfg.max_pending = 1;
+  cfg.max_connections = 2;
   cfg.io_timeout = 5000ms;
   const fs::Docbase docs = small_docbase(1);
   const DocStore store(docs);
@@ -147,18 +145,21 @@ TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
   server.set_peer_ports({server.port()});
   server.start();
 
-  // A occupies the single worker (connects, sends nothing).
+  EXPECT_EQ(server.connection_cap(), 2);
+  // A takes the first slot (connects, sends nothing).
   auto a = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.workers_busy() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 1; }));
 
-  // B fills the one queue slot — accepted, NOT shed.
+  // B takes the last slot — admitted, NOT shed.
   auto b = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(eventually([&server] { return server.queue_depth() == 1; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 2; }));
   EXPECT_EQ(server.shed_count(), 0u);
 
-  // C exceeds workers + queue: shed with 503 and a closed connection.
+  // C is past the cap: shed with 503 and a closed connection.
   auto c = TcpStream::connect(SocketAddress::loopback(server.port()), 2000ms);
   ASSERT_TRUE(c.has_value());
   const http::Response rejected = read_response(*c);
@@ -166,23 +167,23 @@ TEST(WorkerPool, ShedsWith503OnlyPastWorkerAndQueueCap) {
   EXPECT_EQ(rejected.headers.get("Connection"), "close");
   EXPECT_EQ(server.shed_count(), 1u);
 
-  // Drop A: the worker frees up and serves the queued B normally.
+  // Drop A: the held B is still served normally.
   a->close();
-  ASSERT_TRUE(eventually([&server] { return server.queue_depth() == 0; }));
+  ASSERT_TRUE(
+      eventually([&server] { return server.active_connections() == 1; }));
   http::Request request;
   request.target = "/docs/file0.html";
   ASSERT_TRUE(b->write_all(request.serialize(), 2000ms));
   b->shutdown_write();
   const http::Response served = read_response(*b);
   EXPECT_EQ(http::code(served.status), 200);
-  EXPECT_EQ(server.shed_count(), 1u);  // B was queued, never shed
+  EXPECT_EQ(server.shed_count(), 1u);  // B was held, never shed
   server.stop();
 }
 
-TEST(WorkerPool, ShedExportsCounterAndStatusGauges) {
+TEST(Admission, ShedExportsCounterAndStatusKeys) {
   MiniClusterOptions options;
-  options.max_workers = 1;
-  options.max_pending = 1;
+  options.max_connections = 2;
   options.io_timeout = 3000ms;
   MiniCluster cluster(1, small_docbase(1), options);
   cluster.start();
@@ -190,43 +191,43 @@ TEST(WorkerPool, ShedExportsCounterAndStatusGauges) {
   auto a = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() == 1; }));
   auto b = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).queue_depth() == 1; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() == 2; }));
   auto c = TcpStream::connect(SocketAddress::loopback(cluster.port(0)),
                               2000ms);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(http::code(read_response(*c).status), 503);
 
   EXPECT_EQ(cluster.registry().counter("node.0.shed").value(), 1u);
-  EXPECT_EQ(cluster.registry().gauge("node.0.workers_busy").value(), 1);
-  EXPECT_EQ(cluster.registry().gauge("node.0.queue_depth").value(), 1);
+  EXPECT_EQ(cluster.registry().counter("node.0.err.503").value(), 1u);
+  EXPECT_EQ(cluster.node(0).shed_count(), 1u);
 
-  // Free the worker, then /sweb/status must report the pool fields.
+  // Free both slots, then /sweb/status must report the admission fields.
   a->close();
   b->close();
-  ASSERT_TRUE(
-      eventually([&cluster] { return cluster.node(0).workers_busy() == 0; }));
+  ASSERT_TRUE(eventually(
+      [&cluster] { return cluster.node(0).active_connections() == 0; }));
   const auto status = fetch("http://127.0.0.1:" +
                             std::to_string(cluster.port(0)) + "/sweb/status");
   ASSERT_TRUE(status.has_value());
   const std::string& body = status->response.body;
-  EXPECT_NE(body.find("\"workers\":1"), std::string::npos) << body;
+  // The status fetch itself holds the one connection the node has.
+  EXPECT_NE(body.find("\"connections\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"max_connections\":2"), std::string::npos) << body;
   EXPECT_NE(body.find("\"shed\":1"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"queue_depth\":"), std::string::npos) << body;
-  EXPECT_NE(body.find("\"workers_busy\":"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"503\":1"), std::string::npos) << body;
+  EXPECT_EQ(body.find("\"workers"), std::string::npos) << body;
+  EXPECT_EQ(body.find("\"queue_depth\""), std::string::npos) << body;
 }
 
-TEST(WorkerPool, StopDrainsPromptlyWithIdleKeepAliveConnection) {
-  // A keep-alive client parked between requests holds a worker in its
-  // read-wait; stop() must interrupt that wait via the stop token instead
-  // of burning the full io_timeout.
+TEST(Admission, StopDrainsPromptlyWithIdleKeepAliveConnection) {
+  // A keep-alive client parked between requests holds a connection in its
+  // read-wait; stop() must wake the reactor and close it instead of
+  // burning the full io_timeout.
   MiniClusterOptions options;
-  options.max_workers = 2;
   options.io_timeout = 10000ms;
   auto cluster =
       std::make_unique<MiniCluster>(1, small_docbase(1), options);
@@ -247,19 +248,28 @@ TEST(WorkerPool, StopDrainsPromptlyWithIdleKeepAliveConnection) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, 2000ms);
 }
 
-TEST(WorkerPool, SingleWorkerStillServesSequentially) {
-  // max_workers=1 degenerates to the old serial behaviour — everything
-  // still works, just without overlap.
+TEST(Admission, SingleCgiWorkerStillServes) {
+  // max_workers=1 runs CGI handlers one at a time — everything still
+  // works, just without overlap, and static documents never wait on it.
   MiniClusterOptions options;
   options.max_workers = 1;
   MiniCluster cluster(1, small_docbase(1), options);
+  cluster.docs_mutable().register_cgi(
+      "/cgi/echo.cgi", 0, [](const http::Request&, std::string_view query) {
+        return http::make_ok(std::string(query), "text/plain");
+      });
   cluster.start();
+  const std::string base =
+      "http://127.0.0.1:" + std::to_string(cluster.port(0));
   for (int i = 0; i < 4; ++i) {
-    const auto result = fetch("http://127.0.0.1:" +
-                              std::to_string(cluster.port(0)) + "/docs/file" +
-                              std::to_string(i) + ".html");
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(http::code(result->response.status), 200);
+    const auto cgi = fetch(base + "/cgi/echo.cgi?n=" + std::to_string(i));
+    ASSERT_TRUE(cgi.has_value());
+    EXPECT_EQ(http::code(cgi->response.status), 200);
+    EXPECT_EQ(cgi->response.body, "n=" + std::to_string(i));
+    const auto doc =
+        fetch(base + "/docs/file" + std::to_string(i) + ".html");
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(http::code(doc->response.status), 200);
   }
 }
 

@@ -269,19 +269,19 @@ TEST(Chaos, SlowlorisClientGets408WithinHeaderDeadline) {
   // Answered within the header deadline (plus slack), not io_timeout.
   EXPECT_LT(elapsed_since(start), 1500ms);
   EXPECT_EQ(cluster.node(0).request_timeouts(), 1u);
-  // The worker freed itself: the pool drains back to idle.
-  EXPECT_TRUE(eventually([&] { return cluster.node(0).workers_busy() == 0; }));
+  // The slot freed itself: the node drains back to no connections.
+  EXPECT_TRUE(
+      eventually([&] { return cluster.node(0).active_connections() == 0; }));
 }
 
 TEST(Chaos, Shed503CarriesRetryAfterHint) {
   MiniClusterOptions options;
-  options.max_workers = 1;
-  options.max_pending = 1;
+  options.max_connections = 2;
   options.retry_after_hint = 1500ms;  // rounds up to "2" on the wire
   MiniCluster cluster(1, small_docbase(1), options);
   cluster.start();
-  // Two silent connections saturate the worker and the queue; subsequent
-  // ones are shed with 503 + Retry-After by the accept thread.
+  // Two silent connections fill the cap; subsequent ones are shed with
+  // 503 + Retry-After at accept.
   std::vector<TcpStream> held;
   std::optional<http::Response> shed_response;
   for (int i = 0; i < 20 && !shed_response.has_value(); ++i) {
@@ -291,13 +291,60 @@ TEST(Chaos, Shed503CarriesRetryAfterHint) {
     if (conn->wait_readable(300ms)) {
       shed_response = try_read_response(*conn);
     } else {
-      held.push_back(std::move(*conn));  // queued or being served: hold it
+      held.push_back(std::move(*conn));  // admitted: hold it
     }
   }
   ASSERT_TRUE(shed_response.has_value());
   EXPECT_EQ(http::code(shed_response->status), 503);
   EXPECT_EQ(shed_response->headers.get("Retry-After"), "2");
   EXPECT_GE(cluster.node(0).shed_count(), 1u);
+}
+
+TEST(Chaos, ShedOnDegradedLinkNeverStallsTheReactor) {
+  // The shed 503 goes out from the reactor thread itself. A degraded
+  // link's write delay must not apply to it: three sheds on a 400 ms
+  // write-delay link would otherwise park the loop for 1.2 s, and every
+  // admitted connection with it.
+  MiniClusterOptions options;
+  options.max_connections = 1;
+  MiniCluster cluster(1, small_docbase(1), options);
+  cluster.start();
+  const auto address = SocketAddress::loopback(cluster.port(0));
+  http::Request request;
+  request.target = "/docs/file0.html";
+  request.headers.add("Connection", "Keep-Alive");
+  // A: a clean keep-alive connection, admitted before the link degrades.
+  auto a = TcpStream::connect(address, 2000ms);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(a->write_all(request.serialize(), 2000ms));
+  const auto first = try_read_response(*a);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(http::code(first->status), 200);
+
+  FaultPlan slow;
+  slow.write_delay = 400ms;
+  cluster.set_chaos(0, slow);
+  std::vector<TcpStream> shed;
+  for (int i = 0; i < 3; ++i) {
+    auto conn = TcpStream::connect(address, 2000ms);
+    ASSERT_TRUE(conn.has_value());
+    shed.push_back(std::move(*conn));
+  }
+  std::this_thread::sleep_for(50ms);  // the loop is now at the sheds
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a->write_all(request.serialize(), 2000ms));
+  const auto second = try_read_response(*a);
+  const auto elapsed = elapsed_since(start);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(http::code(second->status), 200);
+  EXPECT_LT(elapsed, 200ms);
+  for (TcpStream& conn : shed) {
+    const auto busy = try_read_response(conn);
+    ASSERT_TRUE(busy.has_value());
+    EXPECT_EQ(http::code(busy->status), 503);
+  }
+  EXPECT_EQ(cluster.node(0).shed_count(), 3u);
 }
 
 TEST(Chaos, StatusReportsErrorsByReasonAndChaosState) {
